@@ -16,7 +16,7 @@ from .core import (
     SubjectRecord,
     devectorize,
     substream,
-    vectorize_upper,
+    vectorize_many,
 )
 from .errors import DimensionMismatch, EmptyInput, InsufficientSubjects
 from . import metrics as gm
@@ -26,8 +26,7 @@ def mixup_pair(a: ConnectivityMatrix, b: ConnectivityMatrix, seed: int) -> Conne
     """Mix two matrices with a fresh Bernoulli(0.5) edge mask."""
     if a.n != b.n:
         raise DimensionMismatch(f"node counts differ: {a.n} vs {b.n}")
-    va = vectorize_upper(a).values
-    vb = vectorize_upper(b).values
+    va, vb = vectorize_many([a, b])
     mask = substream(seed, "mask").random(va.size) < 0.5
     return devectorize(np.where(mask, va, vb), a.n)
 
@@ -41,7 +40,7 @@ def augment_site(subjects: list[ConnectivityMatrix], count: int, seed: int) -> l
     n = subjects[0].n
     if any(s.n != n for s in subjects):
         raise DimensionMismatch("all subjects must share a node count")
-    vectors = np.stack([vectorize_upper(s).values for s in subjects])
+    vectors = vectorize_many(subjects)
     out = []
     for k in range(count):
         rng = substream(seed, "draw", k)

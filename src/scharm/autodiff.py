@@ -75,9 +75,6 @@ class Tensor:
             self.grad = np.zeros_like(self.data)
         self.grad += grad
 
-    def detach(self) -> "Tensor":
-        return Tensor(self.data.copy())
-
     # -- primitives ---------------------------------------------------------
 
     @staticmethod

@@ -7,7 +7,6 @@ log line per event goes to standard error; all data outputs are CSV/JSON.
 from __future__ import annotations
 
 import argparse
-import json
 import logging
 import sys
 from pathlib import Path
@@ -27,7 +26,7 @@ from .core import (
     vectorize_upper,
 )
 from .deep import ArchitectureConfig, HarmonizerModel, TrainingConfig, export_embeddings, train
-from .errors import IoError, ScharmError, ValidationError
+from .errors import IoError, ParseError, ScharmError, ValidationError
 from .synthetic import generate_synthetic_cohort, redraw_retest
 
 log = logging.getLogger("scharm")
@@ -110,13 +109,16 @@ def _cmd_generate(args) -> int:
         effect=effect, density=args.density, seed=args.seed,
     )
     manifest = split_cohort(manifest, (0.8, 0.1, 0.1), seed=args.seed)
+    test_ids = sorted(sid for sid, s in manifest.split_labels.items() if s == "test")
+    if not test_ids:
+        # checked before anything is written: the retest cohort redraws the test split
+        raise ValidationError(f"{args.subjects} subjects leave the 10% test split empty")
     out_dir = Path(args.out_dir)
     path = sio.save_cohort(manifest, out_dir)
     log.info("event=generated subjects=%d sites=%d manifest=%s", args.subjects, len(sites), path)
 
     # independent noise redraw at the highest-quality site: synthetic retest
     high = highest_quality_site(sites)
-    test_ids = sorted(sid for sid, s in manifest.split_labels.items() if s == "test")
     retest_records = redraw_retest(manifest, effect, high, test_ids, seed=args.seed + 1)
     retest = CohortManifest(
         subjects=retest_records, sites=sites,
@@ -185,7 +187,9 @@ def _cmd_train(args) -> int:
     else:
         config = ArchitectureConfig.gae_default(manifest.n_nodes, n_sites)
     if args.config:
-        overrides = json.loads(Path(args.config).read_text())
+        overrides = sio.read_json(args.config)
+        if not isinstance(overrides, dict):
+            raise ParseError(f"{args.config}: expected a JSON object of config fields")
         config = ArchitectureConfig.from_dict({**config.to_dict(), **overrides})
     model = HarmonizerModel(config, seed=args.seed)
     hyper = TrainingConfig(epochs=args.epochs, seed=args.seed)

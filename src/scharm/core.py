@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import zlib
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -216,10 +217,26 @@ class CohortManifest:
         return out
 
 
+@lru_cache(maxsize=None)
+def _upper_indices(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Row-major strict upper-triangle indices of an n x n matrix, computed once per n."""
+    rows, cols = np.triu_indices(n, k=1)
+    rows.setflags(write=False)
+    cols.setflags(write=False)
+    return rows, cols
+
+
 def vectorize_upper(m: ConnectivityMatrix) -> EdgeVector:
     """Flatten the strict upper triangle in row-major order."""
-    iu = np.triu_indices(m.n, k=1)
-    return EdgeVector(n=m.n, values=m.values[iu].astype(np.float64))
+    return EdgeVector(n=m.n, values=m.values[_upper_indices(m.n)].astype(np.float64))
+
+
+def vectorize_many(matrices: list[ConnectivityMatrix]) -> np.ndarray:
+    """Edge vectors of equally sized matrices as rows of a (B, (n^2 - n) / 2) float array."""
+    if not matrices:
+        raise EmptyCohort("no matrices to vectorize")
+    iu = _upper_indices(matrices[0].n)
+    return np.stack([m.values[iu] for m in matrices]).astype(np.float64)
 
 
 def devectorize(v: EdgeVector | np.ndarray, n: int) -> ConnectivityMatrix:
@@ -228,8 +245,7 @@ def devectorize(v: EdgeVector | np.ndarray, n: int) -> ConnectivityMatrix:
     if values.size != edge_count(n):
         raise LengthMismatch(f"need {edge_count(n)} values for n={n}, got {values.size}")
     out = np.zeros((n, n))
-    iu = np.triu_indices(n, k=1)
-    out[iu] = values
+    out[_upper_indices(n)] = values
     out = out + out.T
     return ConnectivityMatrix(out)
 

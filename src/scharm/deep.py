@@ -23,7 +23,6 @@ from .autodiff import (
     concat,
     grad_reversal,
     sigmoid_bce,
-    softmax,
     softmax_cross_entropy,
     weighted_mae_loss,
     zero_grads,
@@ -37,7 +36,7 @@ from .core import (
     highest_quality_site,
     lowest_quality_site,
     substream,
-    vectorize_upper,
+    vectorize_many,
 )
 from .errors import (
     DimensionMismatch,
@@ -47,9 +46,11 @@ from .errors import (
     UnknownSite,
     ValidationError,
 )
+from .evaluation import fingerprint_accuracy, pairwise_distances
+from .io import read_json
 from .linear import round_half_away
 from .metrics import normalized_laplacian
-from .nn import AdaInConditioner, ChebConv, Dense, MLP, UnitNorm
+from .nn import AdaInConditioner, ChebConv, Dense, MLP, Module, UnitNorm
 
 
 @dataclass
@@ -101,7 +102,10 @@ class ArchitectureConfig:
 
     @classmethod
     def from_dict(cls, payload: dict) -> "ArchitectureConfig":
-        return cls(**payload)
+        try:
+            return cls(**payload)
+        except TypeError as e:  # an unknown or missing field, or a mistyped value
+            raise ValidationError(f"bad architecture config: {e}") from e
 
 
 @dataclass
@@ -139,7 +143,7 @@ def lambda_schedule(epoch: int, warmup_epochs: int = 100, gamma: float = 10.0) -
     return 2.0 / (1.0 + np.exp(-gamma * p)) - 1.0
 
 
-class HarmonizerModel:
+class HarmonizerModel(Module):
     """Parameter container for one architecture plus encode/decode plumbing."""
 
     def __init__(self, config: ArchitectureConfig, seed: int = 0):
@@ -182,62 +186,33 @@ class HarmonizerModel:
 
     # -- parameter bookkeeping ------------------------------------------------
 
-    def _module_map(self) -> dict[str, object]:
-        if self.config.kind == "fae":
-            mods = {"encoder": self.encoder, "decoder": self.decoder}
-        else:
-            mods = {"enc_conv0": self.enc_convs[0], "enc_conv1": self.enc_convs[1],
-                    "dec_dense": self.dec_dense, "dec_conv0": self.dec_convs[0],
-                    "dec_conv1": self.dec_convs[1], "head": self.head}
-            for i, cond in enumerate(self.conditioners):
-                mods[f"fusion{i}"] = cond
-        mods["classifier"] = self.classifier
-        mods["mapper"] = self.mapper
-        return mods
-
-    def named_parameters(self) -> dict[str, Tensor]:
-        named = {}
-        for name, mod in self._module_map().items():
-            named.update(mod.named_parameters(prefix=f"{name}."))
-        return named
-
     def encdec_parameters(self) -> list[Tensor]:
         """Encoder, decoder and latent-fusion parameters (main learning-rate group)."""
         aux = set(map(id, self.aux_parameters()))
-        return [p for p in self.named_parameters().values() if id(p) not in aux]
+        return [p for p in self.parameters() if id(p) not in aux]
 
     def aux_parameters(self) -> list[Tensor]:
         """Site-classifier and site-mapper parameters (auxiliary group)."""
         return self.classifier.parameters() + self.mapper.parameters()
 
-    def _buffers(self) -> dict[str, np.ndarray]:
-        out = {}
-        for name, mod in self._module_map().items():
-            layers = getattr(mod, "layers", [])
-            for i, layer in enumerate(layers):
-                norm = getattr(layer, "norm", None)
-                if norm is not None and hasattr(norm, "running_mean"):
-                    out[f"{name}.{i}.running_mean"] = norm.running_mean
-                    out[f"{name}.{i}.running_var"] = norm.running_var
-        return out
-
     def state_arrays(self) -> dict[str, np.ndarray]:
         arrays = {name: p.data for name, p in self.named_parameters().items()}
-        arrays.update(self._buffers())
+        arrays.update(self.named_buffers())
         return arrays
 
     def load_state_arrays(self, arrays: dict[str, np.ndarray]) -> None:
-        params = self.named_parameters()
-        buffers = self._buffers()
+        """Overwrite every parameter and buffer; the checkpoint must name exactly these."""
+        state = self.state_arrays()
+        unknown = sorted(set(arrays) - set(state))
+        if unknown:
+            raise ValidationError(f"unknown tensor {unknown[0]!r} in checkpoint")
+        missing = sorted(set(state) - set(arrays))
+        if missing:
+            raise ValidationError(f"checkpoint lacks {len(missing)} tensor(s), first {missing[0]!r}")
         for name, arr in arrays.items():
-            if name in params:
-                if params[name].data.shape != arr.shape:
-                    raise DimensionMismatch(f"{name}: {arr.shape} vs {params[name].data.shape}")
-                params[name].data[...] = arr
-            elif name in buffers:
-                buffers[name][...] = arr
-            else:
-                raise ValidationError(f"unknown tensor {name!r} in checkpoint")
+            if state[name].shape != arr.shape:
+                raise DimensionMismatch(f"{name}: {arr.shape} vs {state[name].shape}")
+            state[name][...] = arr
 
     def snapshot(self) -> dict[str, np.ndarray]:
         return {name: arr.copy() for name, arr in self.state_arrays().items()}
@@ -245,7 +220,7 @@ class HarmonizerModel:
     # -- preprocessing ---------------------------------------------------------
 
     def _fae_input(self, matrices: list[ConnectivityMatrix]) -> np.ndarray:
-        return np.log1p(np.stack([vectorize_upper(m).values for m in matrices]))
+        return np.log1p(vectorize_many(matrices))
 
     def _gae_laplacians(self, matrices: list[ConnectivityMatrix]) -> np.ndarray:
         # rescaled with lambda_max fixed at 2: L~ = L - I, spectrum in [-1, 1]
@@ -279,10 +254,6 @@ class HarmonizerModel:
         else:
             pooled = rev
         return self.classifier(pooled, training=training)
-
-    def classify_site(self, f_e: Tensor) -> np.ndarray:
-        """Softmax site probabilities for an embedding batch."""
-        return softmax(self.classify_logits(f_e, lam=0.0, training=False).data)
 
     def decode_batch(self, f_e: Tensor, site_indices: np.ndarray, laps: np.ndarray | None,
                      training: bool = False) -> Tensor:
@@ -357,8 +328,7 @@ class HarmonizerModel:
 
     @classmethod
     def load(cls, path) -> tuple["HarmonizerModel", TrainingHistory | None]:
-        with open(str(path) + ".json") as fh:
-            sidecar = json.load(fh)
+        sidecar = read_json(str(path) + ".json")
         model = cls(ArchitectureConfig.from_dict(sidecar["config"]), seed=sidecar.get("seed", 0))
         model.epoch = sidecar.get("epoch", 0)
         model.load_state_arrays(checkpoint.load_tensors(path))
@@ -381,24 +351,17 @@ class TrainingConfig:
     restore_best: bool = True
 
 
-def _upper_vectors(matrices: list[ConnectivityMatrix]) -> np.ndarray:
-    return np.stack([vectorize_upper(m).values for m in matrices])
+def _validation_scores(harmonized: list[ConnectivityMatrix],
+                       targets: list[ConnectivityMatrix]) -> tuple[float, float]:
+    """(edge MAE, fingerprinting accuracy) of harmonized against target matrices."""
+    p = pairwise_distances(harmonized, targets)
+    return float(np.diagonal(p).mean()), fingerprint_accuracy(p)
 
 
-def _val_mae_fa(harmonized: list[ConnectivityMatrix],
-                targets: list[ConnectivityMatrix]) -> tuple[float, float]:
-    hv = _upper_vectors(harmonized)
-    tv = _upper_vectors(targets)
-    pair = np.abs(hv[:, None, :] - tv[None, :, :]).mean(axis=2)
-    mae = float(np.diagonal(pair).mean())
-    n = pair.shape[0]
-    hits = 0
-    for i in range(n):
-        row = pair[i]
-        if row[i] < np.min(np.delete(row, i)):
-            hits += 1
-    fa = hits / n if n else 0.0
-    return mae, fa
+def _epoch_score(val_mae: float, val_fa: float, baseline_mae: float) -> float:
+    """Model-selection score, lower is better: val MAE relative to the
+    unharmonized baseline MAE, minus val fingerprinting accuracy."""
+    return val_mae / baseline_mae - val_fa
 
 
 def train(model: HarmonizerModel, cohort: CohortManifest,
@@ -422,7 +385,7 @@ def train(model: HarmonizerModel, cohort: CohortManifest,
     matrices = [r.matrix for r in train_records]
     site_idx = np.array([r.site.site_index for r in train_records])
     if cfg.kind == "fae":
-        targets = _upper_vectors(matrices)
+        targets = vectorize_many(matrices)
     else:
         targets = np.stack([m.values.astype(np.float64) for m in matrices])
     bce_targets = (targets > 0).astype(np.float64) if cfg.bce_enabled else None
@@ -445,7 +408,7 @@ def train(model: HarmonizerModel, cohort: CohortManifest,
 
     baseline_mae = None
     if val_pairs:
-        baseline_mae, _ = _val_mae_fa([p[0] for p in val_pairs], [p[1] for p in val_pairs])
+        baseline_mae, _ = _validation_scores([p[0] for p in val_pairs], [p[1] for p in val_pairs])
 
     n = len(train_records)
     for epoch in range(hyper.epochs):
@@ -485,8 +448,8 @@ def train(model: HarmonizerModel, cohort: CohortManifest,
         val_mae, val_fa = np.nan, np.nan
         if val_pairs:
             harmonized = model.harmonize_many([p[0] for p in val_pairs], high)
-            val_mae, val_fa = _val_mae_fa(harmonized, [p[1] for p in val_pairs])
-            score = val_mae / baseline_mae - val_fa
+            val_mae, val_fa = _validation_scores(harmonized, [p[1] for p in val_pairs])
+            score = _epoch_score(val_mae, val_fa, baseline_mae)
             if hyper.restore_best and score < best_score:
                 best_score = score
                 best_state = model.snapshot()
@@ -529,7 +492,7 @@ def select_best_epoch(history: TrainingHistory, baseline_mae: float) -> int:
         raise EmptyHistory("history has no epochs")
     if baseline_mae <= 0:
         raise ValidationError("baseline_mae must be > 0")
-    scores = [r.val_mae / baseline_mae - r.val_fa for r in history.records]
+    scores = [_epoch_score(r.val_mae, r.val_fa, baseline_mae) for r in history.records]
     return int(np.argmin(scores))
 
 

@@ -79,10 +79,6 @@ class NotSymmetric(ValidationError):
     pass
 
 
-class NoConvergence(ScharmError):
-    pass
-
-
 class SpectrumOutOfRange(ValidationError):
     pass
 
@@ -96,10 +92,6 @@ class NonFiniteLoss(ScharmError):
 
 class EmptyHistory(ValidationError):
     pass
-
-
-class DegenerateRange(ScharmError):
-    """All methods scored identically on a metric; flagged, not fatal."""
 
 
 class ParseError(ScharmError):

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import ConnectivityMatrix, vectorize_upper
+from .core import ConnectivityMatrix, vectorize_many
 from .errors import DimensionMismatch, EmptyInput
 from . import metrics as gm
 
@@ -44,16 +44,12 @@ def _check_pair(pred: list[ConnectivityMatrix], target: list[ConnectivityMatrix]
         raise DimensionMismatch("node counts differ across matrices")
 
 
-def _vectors(matrices: list[ConnectivityMatrix]) -> np.ndarray:
-    return np.stack([vectorize_upper(m).values for m in matrices])
-
-
 def edge_metrics(pred: list[ConnectivityMatrix],
                  target: list[ConnectivityMatrix]) -> dict[str, tuple[float, float]]:
     """Per-subject MAE, binary MAE and Pearson correlation of edge vectors,
     aggregated as (mean, population std)."""
     _check_pair(pred, target)
-    pv, tv = _vectors(pred), _vectors(target)
+    pv, tv = vectorize_many(pred), vectorize_many(target)
     mae = np.abs(pv - tv).mean(axis=1)
     bmae = ((pv > 0) != (tv > 0)).mean(axis=1)
     pc = np.zeros(len(pred))
@@ -96,7 +92,7 @@ def pairwise_distances(pred: list[ConnectivityMatrix],
     """Entry (i, j): mean absolute difference of upper-triangle vectors
     between harmonized subject i and target subject j."""
     _check_pair(pred, target)
-    pv, tv = _vectors(pred), _vectors(target)
+    pv, tv = vectorize_many(pred), vectorize_many(target)
     return np.abs(pv[:, None, :] - tv[None, :, :]).mean(axis=2)
 
 

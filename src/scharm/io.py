@@ -16,6 +16,16 @@ from .errors import IoError, NonIntegerEntry, ParseError
 from .synthetic import SyntheticSiteEffect
 
 
+def read_json(path):
+    """Parsed JSON file; IoError if it cannot be read, ParseError if it is not JSON text."""
+    try:
+        return json.loads(Path(path).read_text())
+    except OSError as e:
+        raise IoError(f"cannot read {path}: {e}") from e
+    except ValueError as e:  # JSONDecodeError, or bytes that are not UTF-8
+        raise ParseError(f"{path}: invalid JSON: {e}") from e
+
+
 def save_matrix(m: ConnectivityMatrix, path) -> None:
     try:
         rows = "\n".join(",".join(str(int(v)) for v in row) for row in m.values)
@@ -66,12 +76,7 @@ def save_effect(effect: SyntheticSiteEffect, path) -> None:
 
 def load_effect(path, d: int | None = None) -> SyntheticSiteEffect:
     """Load an effect file; scalar *_const fields broadcast to all d edges."""
-    try:
-        payload = json.loads(Path(path).read_text())
-    except OSError as e:
-        raise IoError(f"cannot read {path}: {e}") from e
-    except json.JSONDecodeError as e:
-        raise ParseError(f"{path}: invalid JSON: {e}") from e
+    payload = read_json(path)
     sigma = float(payload.get("noise_sigma", 0.0))
     if "beta1_const" in payload:
         if d is None:
@@ -106,12 +111,7 @@ def save_sites(sites: list[SiteDescriptor], path) -> None:
 
 
 def load_sites(path) -> list[SiteDescriptor]:
-    try:
-        payload = json.loads(Path(path).read_text())
-    except OSError as e:
-        raise IoError(f"cannot read {path}: {e}") from e
-    except json.JSONDecodeError as e:
-        raise ParseError(f"{path}: invalid JSON: {e}") from e
+    payload = read_json(path)
     return [
         SiteDescriptor(
             b_value=float(s["b_value"]),
@@ -163,12 +163,7 @@ def save_cohort(manifest: CohortManifest, out_dir) -> Path:
 
 def load_cohort(manifest_path) -> CohortManifest:
     manifest_path = Path(manifest_path)
-    try:
-        payload = json.loads(manifest_path.read_text())
-    except OSError as e:
-        raise IoError(f"cannot read {manifest_path}: {e}") from e
-    except json.JSONDecodeError as e:
-        raise ParseError(f"{manifest_path}: invalid JSON: {e}") from e
+    payload = read_json(manifest_path)
     base = manifest_path.parent
     sites = {
         int(s["site_index"]): SiteDescriptor(

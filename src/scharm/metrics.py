@@ -4,7 +4,7 @@ Metric conventions follow the weighted brain-connectivity-toolbox lineage:
 edge lengths for path-based metrics are reciprocal weights, the clustering
 coefficient is the Onnela geometric-mean form with weights normalized by the
 network maximum, and local efficiency is computed on neighborhood-induced
-subgraphs.
+subgraphs. Spectra come from a symmetric eigendecomposition (LAPACK eigh).
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from scipy.sparse.csgraph import dijkstra
 from scipy.sparse import csr_matrix
 
 from .core import ConnectivityMatrix
-from .errors import NoConvergence, NotSymmetric
+from .errors import NotSymmetric
 
 
 @dataclass(frozen=True)
@@ -112,58 +112,15 @@ def local_efficiency(m: ConnectivityMatrix) -> NodalProfile:
     return NodalProfile("LE", values)
 
 
-def symmetric_eigenvalues(a: np.ndarray, max_sweeps: int = 100) -> EigenDecomposition:
-    """Cyclic Jacobi eigensolver for dense symmetric matrices.
-
-    Sweeps rotate out each off-diagonal element in turn until the largest
-    off-diagonal magnitude drops below 1e-12 * ||A||_F.
-    """
+def symmetric_eigenvalues(a: np.ndarray) -> EigenDecomposition:
+    """Eigendecomposition of a dense symmetric matrix (LAPACK, via numpy.linalg.eigh)."""
     a = np.asarray(a, dtype=np.float64)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise NotSymmetric(f"expected a square matrix, got shape {a.shape}")
     if np.max(np.abs(a - a.T)) > 1e-10:
         raise NotSymmetric("matrix is not symmetric within 1e-10")
-    n = a.shape[0]
-    work = (a + a.T) / 2.0
-    vecs = np.eye(n)
-    norm = np.linalg.norm(work)
-    tol = 1e-12 * norm if norm > 0 else 0.0
-
-    def max_offdiag(x):
-        if n < 2:
-            return 0.0
-        off = np.abs(x - np.diag(np.diagonal(x)))
-        return off.max()
-
-    sweeps = 0
-    while max_offdiag(work) > tol:
-        if sweeps >= max_sweeps:
-            raise NoConvergence(f"Jacobi did not converge in {max_sweeps} sweeps")
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = work[p, q]
-                if abs(apq) <= tol:
-                    continue
-                app, aqq = work[p, p], work[q, q]
-                theta = (aqq - app) / (2.0 * apq)
-                t = np.sign(theta) / (abs(theta) + np.sqrt(theta * theta + 1.0))
-                if theta == 0.0:
-                    t = 1.0
-                c = 1.0 / np.sqrt(t * t + 1.0)
-                s = t * c
-                rot_p = c * work[:, p] - s * work[:, q]
-                rot_q = s * work[:, p] + c * work[:, q]
-                work[:, p], work[:, q] = rot_p, rot_q
-                rot_p = c * work[p, :] - s * work[q, :]
-                rot_q = s * work[p, :] + c * work[q, :]
-                work[p, :], work[q, :] = rot_p, rot_q
-                rot_p = c * vecs[:, p] - s * vecs[:, q]
-                rot_q = s * vecs[:, p] + c * vecs[:, q]
-                vecs[:, p], vecs[:, q] = rot_p, rot_q
-        sweeps += 1
-    eigenvalues = np.diagonal(work).copy()
-    order = np.argsort(eigenvalues, kind="stable")
-    return EigenDecomposition(eigenvalues=eigenvalues[order], eigenvectors=vecs[:, order])
+    eigenvalues, eigenvectors = np.linalg.eigh((a + a.T) / 2.0)
+    return EigenDecomposition(eigenvalues=eigenvalues, eigenvectors=eigenvectors)
 
 
 def normalized_laplacian(m: ConnectivityMatrix) -> np.ndarray:

@@ -14,11 +14,33 @@ def glorot(rng: np.random.Generator, fan_in: int, fan_out: int, shape=None) -> n
 
 
 class Module:
-    def parameters(self) -> list[Tensor]:
-        raise NotImplementedError
+    """Base layer. Parameters and buffers are found by walking the attributes.
+
+    A Tensor or ndarray attribute is a leaf named after the attribute; a child
+    Module, or a list of them, is walked in turn with its attribute name (and
+    list index) added to the dotted prefix. Trainable Tensors are parameters,
+    ndarrays are buffers.
+    """
+
+    def _leaves(self, prefix: str):
+        for attr, value in vars(self).items():
+            items = enumerate(value) if isinstance(value, list) else [(None, value)]
+            for i, item in items:
+                name = f"{prefix}{attr}" if i is None else f"{prefix}{attr}.{i}"
+                if isinstance(item, Module):
+                    yield from item._leaves(f"{name}.")
+                elif isinstance(item, (Tensor, np.ndarray)):
+                    yield name, item
 
     def named_parameters(self, prefix: str = "") -> dict[str, Tensor]:
-        raise NotImplementedError
+        return {name: v for name, v in self._leaves(prefix) if isinstance(v, Tensor) and v.requires_grad}
+
+    def parameters(self) -> list[Tensor]:
+        return list(self.named_parameters().values())
+
+    def named_buffers(self) -> dict[str, np.ndarray]:
+        """Non-trainable state arrays, such as BatchNorm running statistics."""
+        return {name: v for name, v in self._leaves("") if isinstance(v, np.ndarray)}
 
 
 class Dense(Module):
@@ -49,16 +71,6 @@ class Dense(Module):
             out = out.relu()
         return out
 
-    def parameters(self):
-        own = [self.w, self.b]
-        return own + (self.norm.parameters() if self.norm is not None else [])
-
-    def named_parameters(self, prefix=""):
-        named = {f"{prefix}w": self.w, f"{prefix}b": self.b}
-        if self.norm is not None:
-            named.update(self.norm.named_parameters(prefix=f"{prefix}norm."))
-        return named
-
 
 class BatchNorm(Module):
     """Per-feature batch normalization with running statistics for inference."""
@@ -84,12 +96,6 @@ class BatchNorm(Module):
             norm = (x - Tensor(self.running_mean)) * Tensor(1.0 / np.sqrt(self.running_var + self.eps))
         return self.gamma * norm + self.beta
 
-    def parameters(self):
-        return [self.gamma, self.beta]
-
-    def named_parameters(self, prefix=""):
-        return {f"{prefix}gamma": self.gamma, f"{prefix}beta": self.beta}
-
 
 class LayerNorm(Module):
     """Normalize each sample over the feature (last) axis."""
@@ -105,12 +111,6 @@ class LayerNorm(Module):
         var = (centered * centered).mean(axis=-1, keepdims=True)
         return self.gamma * (centered * (var + self.eps).pow(-0.5)) + self.beta
 
-    def parameters(self):
-        return [self.gamma, self.beta]
-
-    def named_parameters(self, prefix=""):
-        return {f"{prefix}gamma": self.gamma, f"{prefix}beta": self.beta}
-
 
 class UnitNorm(Module):
     """Scale each sample to unit root-mean-square over the feature (last) axis.
@@ -125,24 +125,6 @@ class UnitNorm(Module):
     def __call__(self, x: Tensor, training: bool = True) -> Tensor:
         sq = (x * x).mean(axis=-1, keepdims=True)
         return x * (sq + self.eps).pow(-0.5)
-
-    def parameters(self):
-        return []
-
-    def named_parameters(self, prefix=""):
-        return {}
-
-
-def dense(x: Tensor, w: Tensor, b: Tensor, norm=None, act: str = "none", training: bool = True) -> Tensor:
-    """Functional affine -> normalization -> activation."""
-    out = x @ w + b
-    if norm is not None:
-        out = norm(out, training=training)
-    if act == "relu":
-        out = out.relu()
-    elif act != "none":
-        raise ValueError(f"unknown act {act!r}")
-    return out
 
 
 class ChebConv(Module):
@@ -171,16 +153,6 @@ class ChebConv(Module):
             out = out.relu()
         return out
 
-    def parameters(self):
-        own = [self.theta, self.b]
-        return own + (self.norm.parameters() if self.norm is not None else [])
-
-    def named_parameters(self, prefix=""):
-        named = {f"{prefix}theta": self.theta, f"{prefix}b": self.b}
-        if self.norm is not None:
-            named.update(self.norm.named_parameters(prefix=f"{prefix}norm."))
-        return named
-
 
 class MLP(Module):
     """Stack of Dense layers; hidden layers use relu, the last is linear."""
@@ -198,15 +170,6 @@ class MLP(Module):
         for layer in self.layers:
             x = layer(x, training=training)
         return x
-
-    def parameters(self):
-        return [p for layer in self.layers for p in layer.parameters()]
-
-    def named_parameters(self, prefix=""):
-        named = {}
-        for i, layer in enumerate(self.layers):
-            named.update(layer.named_parameters(prefix=f"{prefix}{i}."))
-        return named
 
 
 class AdaInConditioner(Module):
@@ -227,11 +190,3 @@ class AdaInConditioner(Module):
         scale = self.scale_net(f_m, training=training)
         shift = self.shift_net(f_m, training=training)
         return adain(f_e, scale, shift)
-
-    def parameters(self):
-        return self.scale_net.parameters() + self.shift_net.parameters()
-
-    def named_parameters(self, prefix=""):
-        named = self.scale_net.named_parameters(prefix=f"{prefix}scale.")
-        named.update(self.shift_net.named_parameters(prefix=f"{prefix}shift."))
-        return named

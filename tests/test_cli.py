@@ -7,20 +7,32 @@ from scharm.cli import run
 from scharm.core import table1_sites
 
 
-@pytest.fixture
-def cohort_dir(tmp_path):
-    """A small generated cohort shared by the pipeline tests."""
+def _generate(tmp_path, subjects: int, out) -> int:
     sites = tmp_path / "sites.json"
     sio.save_sites(table1_sites(), sites)
     effect = tmp_path / "effect.json"
     effect.write_text('{"beta1_const": 2.0, "beta2_const": 0.002, "noise_sigma": 1.0}')
-    out = tmp_path / "cohort"
-    code = run([
-        "generate", "--nodes", "10", "--subjects", "16", "--sites-file", str(sites),
+    return run([
+        "generate", "--nodes", "10", "--subjects", str(subjects), "--sites-file", str(sites),
         "--effect-file", str(effect), "--seed", "3", "--out-dir", str(out),
     ])
-    assert code == 0
+
+
+@pytest.fixture
+def cohort_dir(tmp_path):
+    """A small generated cohort shared by the pipeline tests."""
+    out = tmp_path / "cohort"
+    assert _generate(tmp_path, 16, out) == 0
     return out
+
+
+def _tiny_fae_config(tmp_path):
+    cfg = tmp_path / "tiny.json"
+    cfg.write_text(json.dumps({
+        "embedding_dim": 8, "encoder_widths": [16], "decoder_widths": [16],
+        "classifier_widths": [8], "mapper_widths": [8],
+    }))
+    return cfg
 
 
 class TestGenerate:
@@ -42,6 +54,12 @@ class TestGenerate:
         ]) == 0
         for rel in sorted(p.relative_to(cohort_dir) for p in cohort_dir.rglob("*") if p.is_file()):
             assert (cohort_dir / rel).read_bytes() == (out2 / rel).read_bytes(), rel
+
+    @pytest.mark.parametrize("subjects", [1, 4, 6])
+    def test_empty_test_split_rejected_before_writing(self, tmp_path, subjects):
+        out = tmp_path / "cohort"
+        assert _generate(tmp_path, subjects, out) == 1
+        assert not out.exists() or not any(out.iterdir())
 
 
 class TestLinearPipeline:
@@ -104,11 +122,7 @@ class TestMetricsAndAugment:
 
 class TestDeepPipeline:
     def test_train_harmonize_export(self, tmp_path, cohort_dir):
-        cfg = tmp_path / "tiny.json"
-        cfg.write_text(json.dumps({
-            "embedding_dim": 8, "encoder_widths": [16], "decoder_widths": [16],
-            "classifier_widths": [8], "mapper_widths": [8],
-        }))
+        cfg = _tiny_fae_config(tmp_path)
         model_dir = tmp_path / "model"
         assert run(["train", "--manifest", str(cohort_dir / "manifest.json"),
                     "--arch", "fae", "--config", str(cfg), "--epochs", "2",
@@ -129,11 +143,7 @@ class TestDeepPipeline:
         assert emb.read_text().startswith("subject_id,site_index,e0,")
 
     def test_wrong_method_for_model(self, tmp_path, cohort_dir):
-        cfg = tmp_path / "tiny.json"
-        cfg.write_text(json.dumps({
-            "embedding_dim": 8, "encoder_widths": [16], "decoder_widths": [16],
-            "classifier_widths": [8], "mapper_widths": [8],
-        }))
+        cfg = _tiny_fae_config(tmp_path)
         model_dir = tmp_path / "model"
         run(["train", "--manifest", str(cohort_dir / "manifest.json"),
              "--arch", "fae", "--config", str(cfg), "--epochs", "1",
@@ -141,6 +151,24 @@ class TestDeepPipeline:
         assert run(["harmonize", "--manifest", str(cohort_dir / "manifest.json"),
                     "--method", "gae", "--model", str(model_dir / "model.bin"),
                     "--target-site", "3", "--out-dir", str(tmp_path / "x")]) == 1
+
+    def test_train_with_one_validation_subject(self, tmp_path):
+        # 12 subjects split 10/1/1: fingerprinting over a single validation subject
+        cohort = tmp_path / "cohort"
+        assert _generate(tmp_path, 12, cohort) == 0
+        assert run(["train", "--manifest", str(cohort / "manifest.json"), "--arch", "fae",
+                    "--config", str(_tiny_fae_config(tmp_path)), "--epochs", "1",
+                    "--out-dir", str(tmp_path / "model")]) == 0
+
+    def test_harmonize_without_sidecar_is_2(self, tmp_path, cohort_dir):
+        model_dir = tmp_path / "model"
+        assert run(["train", "--manifest", str(cohort_dir / "manifest.json"), "--arch", "fae",
+                    "--config", str(_tiny_fae_config(tmp_path)), "--epochs", "1",
+                    "--out-dir", str(model_dir)]) == 0
+        (model_dir / "model.bin.json").unlink()
+        assert run(["harmonize", "--manifest", str(cohort_dir / "manifest.json"),
+                    "--method", "fae", "--model", str(model_dir / "model.bin"),
+                    "--target-site", "3", "--out-dir", str(tmp_path / "h")]) == 2
 
 
 class TestExitCodes:
@@ -151,6 +179,21 @@ class TestExitCodes:
     def test_usage_error_is_1(self):
         assert run(["fit-lr"]) == 1
         assert run(["no-such-command"]) == 1
+
+    @pytest.mark.parametrize("body, code", [
+        (None, 2),                           # missing file
+        ("{not json", 1),                    # invalid JSON
+        ('{"embedding_dim": 8, "widht": 3}', 1),  # unknown field
+        ("[8, 16]", 1),                      # JSON, but not an object
+    ])
+    def test_train_config_errors(self, tmp_path, cohort_dir, body, code):
+        cfg = tmp_path / "cfg.json"
+        if body is not None:
+            cfg.write_text(body)
+        assert run(["train", "--manifest", str(cohort_dir / "manifest.json"), "--arch", "fae",
+                    "--config", str(cfg), "--epochs", "1",
+                    "--out-dir", str(tmp_path / "model")]) == code
+        assert not (tmp_path / "model").exists()
 
     def test_validation_error_is_1(self, tmp_path, cohort_dir):
         # unknown target site index inside a well-formed manifest

@@ -17,7 +17,7 @@ from scharm import (
     validate_matrix,
     vectorize_upper,
 )
-from scharm.core import quality_key, substream
+from scharm.core import quality_key, substream, vectorize_many
 from scharm.errors import (
     AsymmetricMatrix,
     EmptyCohort,
@@ -86,6 +86,16 @@ class TestVectorization:
     def test_devectorize_wrong_length(self):
         with pytest.raises(ValidationError):
             devectorize(np.zeros(5), 4)
+
+    def test_vectorize_many_stacks_rows(self, rng):
+        mats = [random_connectome(rng, 7) for _ in range(4)]
+        batch = vectorize_many(mats)
+        assert batch.dtype == np.float64 and batch.flags["C_CONTIGUOUS"]
+        assert np.array_equal(batch, np.stack([vectorize_upper(m).values for m in mats]))
+
+    def test_vectorize_many_empty(self):
+        with pytest.raises(EmptyCohort):
+            vectorize_many([])
 
 
 class TestSites:

@@ -129,6 +129,30 @@ class TestModelPlumbing:
         m = random_connectome(rng, N)
         assert loaded.harmonize(m, SITES[3]) == model.harmonize(m, SITES[3])
 
+    def test_load_rejects_incomplete_checkpoint(self, kind, tmp_path):
+        from scharm import checkpoint
+
+        path = tmp_path / "model.bin"
+        HarmonizerModel(_tiny_config(kind), seed=5).save(path)
+        tensors = checkpoint.load_tensors(path)
+        dropped = sorted(tensors)[0]
+        del tensors[dropped]
+        checkpoint.save_tensors(tensors, path)
+        with pytest.raises(ValidationError, match=dropped):
+            HarmonizerModel.load(path)
+
+    def test_state_covers_every_parameter_and_buffer(self, kind):
+        model = HarmonizerModel(_tiny_config(kind), seed=0)
+        state = model.state_arrays()
+        assert len(state) == len(model.named_parameters()) + len(model.named_buffers())
+        if kind == "fae":
+            # hidden BatchNorm running statistics travel with the weights
+            assert "encoder.layers.0.norm.running_mean" in state
+            assert "decoder.layers.0.norm.running_var" in state
+        else:
+            assert "enc_convs.0.theta" in state and "conditioners.2.shift_net.b" in state
+            assert not model.named_buffers()
+
     def test_unknown_target_site(self, kind, rng):
         model = HarmonizerModel(_tiny_config(kind), seed=0)
         from scharm.core import SiteDescriptor

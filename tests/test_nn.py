@@ -132,6 +132,16 @@ class TestMLP:
         assert len(named) == len(set(named))
         assert len(named) == len(mlp.parameters())
 
+    def test_named_walk_covers_layers_and_norm_buffers(self, rng):
+        mlp = MLP(rng, [3, 5, 2], norm="batch")
+        named = mlp.named_parameters(prefix="m.")
+        assert list(named) == ["m.layers.0.w", "m.layers.0.b", "m.layers.0.norm.gamma",
+                               "m.layers.0.norm.beta", "m.layers.1.w", "m.layers.1.b"]
+        assert named["m.layers.1.w"] is mlp.layers[1].w
+        buffers = mlp.named_buffers()
+        assert list(buffers) == ["layers.0.norm.running_mean", "layers.0.norm.running_var"]
+        assert buffers["layers.0.norm.running_var"] is mlp.layers[0].norm.running_var
+
 
 class TestChebConvLayer:
     def test_forward_shape(self, rng):
