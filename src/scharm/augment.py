@@ -81,17 +81,13 @@ def augmentation_report(
         raise EmptyInput("both populations must be nonempty")
     if any(m.n != original[0].n for m in original + augmented):
         raise DimensionMismatch("all matrices must share a node count")
-    metric_fns = {
-        "NS": gm.nodal_strength,
-        "CC": gm.closeness_centrality,
-        "CLC": gm.clustering_coefficient,
-        "LE": gm.local_efficiency,
-    }
+    profiles = {"original": [gm.nodal_profiles(m) for m in original],
+                "augmented": [gm.nodal_profiles(m) for m in augmented]}
     report: dict[str, dict[str, dict[str, float]]] = {}
-    for name, fn in metric_fns.items():
+    for name in profiles["original"][0]:
         report[name] = {}
-        for pop_name, pop in (("original", original), ("augmented", augmented)):
-            subject_means = np.array([fn(m).values.mean() for m in pop])
+        for pop_name, pop in profiles.items():
+            subject_means = np.array([p[name].mean() for p in pop])
             report[name][pop_name] = {
                 "mean": float(subject_means.mean()),
                 "std": float(subject_means.std()),

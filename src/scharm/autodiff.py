@@ -50,17 +50,19 @@ class Tensor:
             if self.data.size != 1:
                 raise ShapeMismatch("backward() without an explicit gradient needs a scalar")
             grad = np.ones_like(self.data)
-        topo, seen = [], set()
-
-        def visit(t):
-            if id(t) in seen or not t.requires_grad:
-                return
-            seen.add(id(t))
-            for c in t._children:
-                visit(c)
-            topo.append(t)
-
-        visit(self)
+        # iterative depth-first post-order: children before parents, in child order
+        topo, seen = [], {id(self)}
+        stack = [(self, iter(self._children))] if self.requires_grad else []
+        while stack:
+            t, children = stack[-1]
+            for c in children:
+                if id(c) not in seen and c.requires_grad:
+                    seen.add(id(c))
+                    stack.append((c, iter(c._children)))
+                    break
+            else:
+                stack.pop()
+                topo.append(t)
         for t in topo:
             t.grad = None
         self.grad = np.asarray(grad, dtype=np.float64)
@@ -151,8 +153,9 @@ class Tensor:
         return out
 
     def exp(self):
-        out = Tensor(np.exp(self.data), _children=(self,))
-        out._backward = lambda g: self._accumulate(g * out.data)
+        data = np.exp(self.data)  # captured instead of `out`, which would make a cycle
+        out = Tensor(data, _children=(self,))
+        out._backward = lambda g: self._accumulate(g * data)
         return out
 
     def log(self):
@@ -167,8 +170,9 @@ class Tensor:
         return out
 
     def sqrt(self):
-        out = Tensor(np.sqrt(self.data), _children=(self,))
-        out._backward = lambda g: self._accumulate(g * 0.5 / np.maximum(out.data, 1e-300))
+        data = np.sqrt(self.data)
+        out = Tensor(data, _children=(self,))
+        out._backward = lambda g: self._accumulate(g * 0.5 / np.maximum(data, 1e-300))
         return out
 
     def sum(self, axis=None, keepdims=False):

@@ -143,7 +143,7 @@ def _cmd_augment(args) -> int:
     log.info("event=augmented site=%d count=%d out=%s", args.site, args.count, out_dir)
     if args.report:
         report = aug.augmentation_report(originals, augmented)
-        (out_dir / "report.csv").write_text(aug.report_to_csv(report))
+        sio.write_text(out_dir / "report.csv", aug.report_to_csv(report))
         log.info("event=augmentation-report out=%s", out_dir / "report.csv")
     return 0
 
@@ -152,16 +152,11 @@ def _cmd_metrics(args) -> int:
     manifest = sio.load_cohort(args.manifest)
     lines = ["subject_id,site_index,node_index,NS,CC,CLC,LE"]
     for rec in manifest.subjects:
-        ns = gm.nodal_strength(rec.matrix).values
-        cc = gm.closeness_centrality(rec.matrix).values
-        clc = gm.clustering_coefficient(rec.matrix).values
-        le = gm.local_efficiency(rec.matrix).values
-        for i in range(rec.matrix.n):
-            lines.append(
-                f"{rec.subject_id},{rec.site.site_index},{i},"
-                f"{ns[i]:.10g},{cc[i]:.10g},{clc[i]:.10g},{le[i]:.10g}"
-            )
-    Path(args.out).write_text("\n".join(lines) + "\n")
+        columns = gm.nodal_profiles(rec.matrix).values()
+        for i, row in enumerate(zip(*columns)):
+            values = ",".join(f"{v:.10g}" for v in row)
+            lines.append(f"{rec.subject_id},{rec.site.site_index},{i},{values}")
+    sio.write_text(args.out, "\n".join(lines) + "\n")
     log.info("event=metrics records=%d out=%s", len(manifest.subjects), args.out)
     return 0
 
@@ -174,7 +169,7 @@ def _training_observations(manifest: CohortManifest):
 def _cmd_fit_lr(args) -> int:
     manifest = sio.load_cohort(args.manifest)
     model = linear.fit_lr(_training_observations(manifest))
-    Path(args.out).write_text(linear.model_to_csv(model))
+    sio.write_text(args.out, linear.model_to_csv(model))
     log.info("event=fit-lr edges=%d out=%s", model.d, args.out)
     return 0
 
@@ -197,9 +192,12 @@ def _cmd_train(args) -> int:
         manifest = aug.augment_cohort(manifest, args.augment, seed=args.seed)
         log.info("event=augmented-train per_site=%d total=%d",
                  args.augment, len(manifest.records(split="train")))
-    model, history = train(model, manifest, hyper)
     out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    try:  # before training, so a bad --out-dir does not cost a whole run
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as e:
+        raise IoError(f"cannot create {out_dir}: {e}") from e
+    model, history = train(model, manifest, hyper)
     model.save(out_dir / "model.bin", history=history)
     log.info("event=trained arch=%s epochs=%d final_loss=%.6g out=%s",
              args.arch, args.epochs, history.records[-1].total_loss, out_dir / "model.bin")
@@ -270,11 +268,11 @@ def _cmd_evaluate(args) -> int:
                                    [target_by_id[s] for s in rshared],
                                    [retest_by_id[s] for s in rshared])
             )
-    Path(args.out).write_text(ev.report_table_csv(reports))
+    sio.write_text(args.out, ev.report_table_csv(reports))
     log.info("event=evaluated subjects=%d methods=%d out=%s", len(shared), len(reports), args.out)
     if args.normalized:
         norm_path = Path(args.out).with_name(Path(args.out).stem + "_normalized.csv")
-        norm_path.write_text(ev.normalized_report(reports))
+        sio.write_text(norm_path, ev.normalized_report(reports))
         log.info("event=normalized-report out=%s", norm_path)
     return 0
 
@@ -282,7 +280,7 @@ def _cmd_evaluate(args) -> int:
 def _cmd_export_embeddings(args) -> int:
     model, _ = HarmonizerModel.load(args.model)
     manifest = sio.load_cohort(args.manifest)
-    Path(args.out).write_text(export_embeddings(model, manifest))
+    sio.write_text(args.out, export_embeddings(model, manifest))
     log.info("event=embeddings records=%d out=%s", len(manifest.subjects), args.out)
     return 0
 

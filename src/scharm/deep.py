@@ -43,11 +43,12 @@ from .errors import (
     EmptyCohort,
     EmptyHistory,
     NonFiniteLoss,
+    ParseError,
     UnknownSite,
     ValidationError,
 )
 from .evaluation import fingerprint_accuracy, pairwise_distances
-from .io import read_json
+from .io import read_json, write_text
 from .linear import round_half_away
 from .metrics import normalized_laplacian
 from .nn import AdaInConditioner, ChebConv, Dense, MLP, Module, UnitNorm
@@ -323,16 +324,19 @@ class HarmonizerModel(Module):
             "epoch": self.epoch,
             "history": history.to_dict() if history is not None else None,
         }
-        with open(str(path) + ".json", "w") as fh:
-            json.dump(sidecar, fh, indent=1)
+        write_text(str(path) + ".json", json.dumps(sidecar, indent=1))
 
     @classmethod
     def load(cls, path) -> tuple["HarmonizerModel", TrainingHistory | None]:
         sidecar = read_json(str(path) + ".json")
-        model = cls(ArchitectureConfig.from_dict(sidecar["config"]), seed=sidecar.get("seed", 0))
+        try:
+            config = ArchitectureConfig.from_dict(sidecar["config"])
+            history = TrainingHistory.from_dict(sidecar["history"]) if sidecar.get("history") else None
+        except (KeyError, TypeError) as e:
+            raise ParseError(f"{path}.json: malformed sidecar: {type(e).__name__} {e}") from e
+        model = cls(config, seed=sidecar.get("seed", 0))
         model.epoch = sidecar.get("epoch", 0)
         model.load_state_arrays(checkpoint.load_tensors(path))
-        history = TrainingHistory.from_dict(sidecar["history"]) if sidecar.get("history") else None
         return model, history
 
 

@@ -71,16 +71,11 @@ def topology_metrics(pred: list[ConnectivityMatrix],
     """Per-subject mean absolute nodal-score differences (NS, CC, CLC, LE)
     and sorted-eigenvalue MAE (EV), aggregated as (mean, population std)."""
     _check_pair(pred, target)
-    fns = {
-        "NS": gm.nodal_strength,
-        "CC": gm.closeness_centrality,
-        "CLC": gm.clustering_coefficient,
-        "LE": gm.local_efficiency,
-    }
     per_subject: dict[str, list[float]] = {name: [] for name in TOPOLOGY_METRICS}
     for p, t in zip(pred, target):
-        for name, fn in fns.items():
-            per_subject[name].append(float(np.abs(fn(p).values - fn(t).values).mean()))
+        prof_p, prof_t = gm.nodal_profiles(p), gm.nodal_profiles(t)
+        for name in prof_p:
+            per_subject[name].append(float(np.abs(prof_p[name] - prof_t[name]).mean()))
         ev_p = gm.symmetric_eigenvalues(p.values.astype(float)).eigenvalues
         ev_t = gm.symmetric_eigenvalues(t.values.astype(float)).eigenvalues
         per_subject["EV"].append(float(np.abs(ev_p - ev_t).mean()))

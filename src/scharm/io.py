@@ -26,12 +26,17 @@ def read_json(path):
         raise ParseError(f"{path}: invalid JSON: {e}") from e
 
 
-def save_matrix(m: ConnectivityMatrix, path) -> None:
+def write_text(path, text: str) -> None:
+    """Write a text file; IoError if it cannot be written."""
     try:
-        rows = "\n".join(",".join(str(int(v)) for v in row) for row in m.values)
-        Path(path).write_text(rows + "\n")
+        Path(path).write_text(text)
     except OSError as e:
         raise IoError(f"cannot write {path}: {e}") from e
+
+
+def save_matrix(m: ConnectivityMatrix, path) -> None:
+    rows = "\n".join(",".join(str(int(v)) for v in row) for row in m.values)
+    write_text(path, rows + "\n")
 
 
 def load_matrix(path) -> ConnectivityMatrix:
@@ -71,7 +76,7 @@ def save_effect(effect: SyntheticSiteEffect, path) -> None:
         "beta3": effect.beta3.tolist(),
         "noise_sigma": effect.noise_sigma,
     }
-    Path(path).write_text(json.dumps(payload))
+    write_text(path, json.dumps(payload))
 
 
 def load_effect(path, d: int | None = None) -> SyntheticSiteEffect:
@@ -99,27 +104,28 @@ def load_effect(path, d: int | None = None) -> SyntheticSiteEffect:
         raise ParseError(f"{path}: missing field {e}") from e
 
 
-def save_sites(sites: list[SiteDescriptor], path) -> None:
-    Path(path).write_text(
-        json.dumps(
-            [
-                {"site_index": s.site_index, "b_value": s.b_value, "resolution": s.resolution}
-                for s in sites
-            ]
-        )
+def _site_to_dict(s: SiteDescriptor) -> dict:
+    return {"site_index": s.site_index, "b_value": s.b_value, "resolution": s.resolution}
+
+
+def _site_from_dict(s: dict) -> SiteDescriptor:
+    return SiteDescriptor(
+        b_value=float(s["b_value"]),
+        resolution=float(s["resolution"]),
+        site_index=int(s["site_index"]),
     )
+
+
+def save_sites(sites: list[SiteDescriptor], path) -> None:
+    write_text(path, json.dumps([_site_to_dict(s) for s in sites]))
 
 
 def load_sites(path) -> list[SiteDescriptor]:
     payload = read_json(path)
-    return [
-        SiteDescriptor(
-            b_value=float(s["b_value"]),
-            resolution=float(s["resolution"]),
-            site_index=int(s["site_index"]),
-        )
-        for s in payload
-    ]
+    try:
+        return [_site_from_dict(s) for s in payload]
+    except (KeyError, TypeError, ValueError) as e:
+        raise ParseError(f"{path}: malformed sites file: {type(e).__name__} {e}") from e
 
 
 def save_cohort(manifest: CohortManifest, out_dir) -> Path:
@@ -150,14 +156,11 @@ def save_cohort(manifest: CohortManifest, out_dir) -> Path:
     payload = {
         "n_nodes": manifest.n_nodes,
         "seed": manifest.seed,
-        "sites": [
-            {"site_index": s.site_index, "b_value": s.b_value, "resolution": s.resolution}
-            for s in manifest.sites
-        ],
+        "sites": [_site_to_dict(s) for s in manifest.sites],
         "subjects": subjects,
     }
     manifest_path = out_dir / "manifest.json"
-    manifest_path.write_text(json.dumps(payload, indent=1))
+    write_text(manifest_path, json.dumps(payload, indent=1))
     return manifest_path
 
 
@@ -165,18 +168,17 @@ def load_cohort(manifest_path) -> CohortManifest:
     manifest_path = Path(manifest_path)
     payload = read_json(manifest_path)
     base = manifest_path.parent
-    sites = {
-        int(s["site_index"]): SiteDescriptor(
-            b_value=float(s["b_value"]),
-            resolution=float(s["resolution"]),
-            site_index=int(s["site_index"]),
-        )
-        for s in payload["sites"]
-    }
+    try:
+        sites = {s.site_index: s for s in map(_site_from_dict, payload["sites"])}
+        entries = [(e, e["id"], sites[int(e["site_index"])], e["matrix_path"])
+                   for e in payload["subjects"]]
+        seed = int(payload.get("seed", 0))
+    except (KeyError, TypeError, ValueError) as e:
+        raise ParseError(f"{manifest_path}: malformed manifest: {type(e).__name__} {e}") from e
     latent_cache: dict[str, ConnectivityMatrix] = {}
     records = []
     split_labels = {}
-    for entry in payload["subjects"]:
+    for entry, sid, site, matrix_path in entries:
         latent = None
         if entry.get("latent_path"):
             lp = entry["latent_path"]
@@ -185,18 +187,18 @@ def load_cohort(manifest_path) -> CohortManifest:
             latent = latent_cache[lp]
         records.append(
             SubjectRecord(
-                subject_id=entry["id"],
-                site=sites[int(entry["site_index"])],
-                matrix=load_matrix(base / entry["matrix_path"]),
+                subject_id=sid,
+                site=site,
+                matrix=load_matrix(base / matrix_path),
                 group_key=entry.get("group_key"),
                 latent_truth=latent,
             )
         )
         if entry.get("split"):
-            split_labels[entry["id"]] = entry["split"]
+            split_labels[sid] = entry["split"]
     return CohortManifest(
         subjects=records,
         sites=[sites[k] for k in sorted(sites)],
         split_labels=split_labels,
-        seed=int(payload.get("seed", 0)),
+        seed=seed,
     )

@@ -4,7 +4,8 @@ Metric conventions follow the weighted brain-connectivity-toolbox lineage:
 edge lengths for path-based metrics are reciprocal weights, the clustering
 coefficient is the Onnela geometric-mean form with weights normalized by the
 network maximum, and local efficiency is computed on neighborhood-induced
-subgraphs. Spectra come from a symmetric eigendecomposition (LAPACK eigh).
+subgraphs. Shortest paths come from a dense Floyd-Warshall over those lengths.
+Spectra come from a symmetric eigendecomposition (LAPACK eigh).
 """
 
 from __future__ import annotations
@@ -12,8 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse.csgraph import dijkstra
-from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import floyd_warshall
 
 from .core import ConnectivityMatrix
 from .errors import NotSymmetric
@@ -38,27 +38,25 @@ def nodal_strength(m: ConnectivityMatrix) -> NodalProfile:
     return NodalProfile("NS", m.values.sum(axis=1).astype(np.float64))
 
 
-def _length_graph(weights: np.ndarray) -> csr_matrix:
-    with np.errstate(divide="ignore"):
-        lengths = np.where(weights > 0, 1.0 / np.where(weights > 0, weights, 1.0), 0.0)
-    return csr_matrix(lengths)
+def _distances(weights: np.ndarray) -> np.ndarray:
+    """All-pairs shortest paths on edge lengths 1/weight; zero weights are no edge."""
+    lengths = np.divide(1.0, weights, out=np.zeros_like(weights), where=weights > 0)
+    return floyd_warshall(lengths, directed=False)
 
 
 def shortest_path_distances(m: ConnectivityMatrix) -> np.ndarray:
-    """All-pairs Dijkstra on edge lengths 1/weight; unreachable pairs are +inf."""
-    return dijkstra(_length_graph(m.values.astype(np.float64)), directed=False)
+    """All-pairs shortest paths on edge lengths 1/weight; unreachable pairs are +inf."""
+    return _distances(m.values.astype(np.float64))
 
 
 def closeness_centrality(m: ConnectivityMatrix) -> NodalProfile:
     """CC(i) = (#reachable others) / (sum of distances to them); 0 if isolated."""
     dist = shortest_path_distances(m)
-    n = m.n
-    values = np.zeros(n)
-    for i in range(n):
-        d = np.delete(dist[i], i)
-        reachable = np.isfinite(d)
-        if reachable.any():
-            values[i] = reachable.sum() / d[reachable].sum()
+    np.fill_diagonal(dist, np.inf)
+    reachable = np.isfinite(dist)
+    count = reachable.sum(axis=1)
+    total = np.where(reachable, dist, 0.0).sum(axis=1)
+    values = np.divide(count, total, out=np.zeros(m.n), where=count > 0)
     return NodalProfile("CC", values)
 
 
@@ -99,17 +97,19 @@ def local_efficiency(m: ConnectivityMatrix) -> NodalProfile:
         k = nbrs.size
         if k < 2:
             continue
-        sub = wn[np.ix_(nbrs, nbrs)]
-        dist = dijkstra(_length_graph(sub), directed=False)
+        dist = _distances(wn[np.ix_(nbrs, nbrs)])
+        np.fill_diagonal(dist, np.inf)  # self pairs, like unreachable ones, add cbrt(0)
         wi = wn[i, nbrs]
-        acc = 0.0
-        for a in range(k):
-            for b in range(k):
-                if a == b or not np.isfinite(dist[a, b]):
-                    continue
-                acc += np.cbrt(wi[a] * wi[b] / dist[a, b])
-        values[i] = acc / (k * (k - 1))
+        values[i] = np.cbrt(np.outer(wi, wi) / dist).sum() / (k * (k - 1))
     return NodalProfile("LE", values)
+
+
+def nodal_profiles(m: ConnectivityMatrix) -> dict[str, np.ndarray]:
+    """NS, CC, CLC and LE per node, keyed in that order."""
+    # looked up at call time, so a rebound metric function is the one that runs
+    profiles = (nodal_strength(m), closeness_centrality(m),
+                clustering_coefficient(m), local_efficiency(m))
+    return {p.metric_id: p.values for p in profiles}
 
 
 def symmetric_eigenvalues(a: np.ndarray) -> EigenDecomposition:

@@ -1,3 +1,5 @@
+import gc
+
 import numpy as np
 import pytest
 
@@ -141,6 +143,31 @@ class TestElementwiseGradients:
         t = Tensor(np.zeros(3), requires_grad=True)
         with pytest.raises(ShapeMismatch):
             (t * 2).backward()
+
+    def test_deep_chain_has_no_recursion_limit(self):
+        t = Tensor(np.array([1.0]), requires_grad=True)
+        y = t
+        for _ in range(5000):
+            y = y + 1.0
+        y.sum().backward()
+        assert np.allclose(t.grad, [1.0])
+
+    def test_backward_leaves_no_reference_cycles(self, rng):
+        # graphs must be freed by reference counting alone, not by the cyclic GC
+        gc.collect()
+        gc.disable()
+        try:
+            f = Tensor(rng.standard_normal((2, 5, 3)), requires_grad=True)
+            scale = Tensor(rng.standard_normal((2, 3)), requires_grad=True)
+            shift = Tensor(rng.standard_normal((2, 3)), requires_grad=True)
+            feats = adain(f, scale, shift).mean(axis=1)
+            loss = (softmax_cross_entropy(feats, np.eye(3)[[0, 2]])
+                    + sigmoid_bce(feats, (feats.data > 0).astype(float)))
+            loss.backward()
+            del feats, loss
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
 
 class TestLossGradients:

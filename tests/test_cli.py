@@ -202,3 +202,74 @@ class TestExitCodes:
         assert run(["harmonize", "--manifest", str(cohort_dir / "manifest.json"),
                     "--method", "lr", "--model", str(model_csv),
                     "--target-site", "42", "--out-dir", str(tmp_path / "h")]) == 1
+
+    def test_train_out_dir_under_a_file_is_2_before_training(self, tmp_path, cohort_dir,
+                                                              monkeypatch):
+        monkeypatch.setattr("scharm.cli.train",
+                            lambda *a, **k: pytest.fail("trained before --out-dir was checked"))
+        (tmp_path / "afile").write_text("")
+        assert run(["train", "--manifest", str(cohort_dir / "manifest.json"), "--arch", "fae",
+                    "--config", str(_tiny_fae_config(tmp_path)), "--epochs", "1",
+                    "--out-dir", str(tmp_path / "afile" / "model")]) == 2
+
+    @pytest.mark.parametrize("where, key", [
+        ("sidecar", "config"),
+        ("sites-file", "b_value"),
+        ("manifest", "subjects"),
+        ("manifest", "sites"),
+        ("subject", "id"),
+        ("subject", "matrix_path"),
+    ])
+    def test_structurally_wrong_json_is_1(self, tmp_path, cohort_dir, where, key):
+        manifest = cohort_dir / "manifest.json"
+        if where == "sidecar":
+            # valid JSON, but no `config`; the sidecar is read before the tensors
+            (tmp_path / "model.bin.json").write_text(json.dumps({"seed": 1}))
+            argv = ["harmonize", "--manifest", str(manifest), "--method", "fae",
+                    "--model", str(tmp_path / "model.bin"), "--target-site", "3",
+                    "--out-dir", str(tmp_path / "h")]
+        elif where == "sites-file":
+            sites = json.loads((tmp_path / "sites.json").read_text())
+            del sites[0][key]
+            (tmp_path / "bad_sites.json").write_text(json.dumps(sites))
+            argv = ["generate", "--nodes", "10", "--subjects", "16",
+                    "--sites-file", str(tmp_path / "bad_sites.json"),
+                    "--effect-file", str(tmp_path / "effect.json"), "--out-dir", str(tmp_path / "g")]
+        else:
+            payload = json.loads(manifest.read_text())
+            del (payload["subjects"][0] if where == "subject" else payload)[key]
+            bad = cohort_dir / "bad.json"  # next to the matrices it points at
+            bad.write_text(json.dumps(payload))
+            argv = ["metrics", "--manifest", str(bad), "--out", str(tmp_path / "m.csv")]
+        assert run(argv) == 1
+
+    @pytest.mark.parametrize("stage", [
+        "metrics", "fit-lr", "evaluate", "evaluate-normalized", "export-embeddings", "augment",
+    ])
+    def test_unwritable_output_is_2(self, tmp_path, cohort_dir, stage):
+        manifest = str(cohort_dir / "manifest.json")
+        out = str(tmp_path / "nodir" / "out.csv")
+        if stage == "evaluate-normalized":
+            # --out is writable; a directory sits where the normalized table goes
+            out = str(tmp_path / "report.csv")
+            (tmp_path / "report_normalized.csv").mkdir()
+        if stage == "export-embeddings":
+            model_dir = tmp_path / "model"
+            assert run(["train", "--manifest", manifest, "--arch", "fae",
+                        "--config", str(_tiny_fae_config(tmp_path)), "--epochs", "1",
+                        "--out-dir", str(model_dir)]) == 0
+        if stage == "augment":
+            (tmp_path / "aug" / "report.csv").mkdir(parents=True)
+        argv = {
+            "metrics": ["metrics", "--manifest", manifest, "--out", out],
+            "fit-lr": ["fit-lr", "--manifest", manifest, "--out", out],
+            "evaluate": ["evaluate", "--pred-manifest", manifest,
+                         "--target-manifest", manifest, "--out", out],
+            "evaluate-normalized": ["evaluate", "--pred-manifest", manifest,
+                                    "--target-manifest", manifest, "--out", out, "--normalized"],
+            "export-embeddings": ["export-embeddings", "--model", str(tmp_path / "model" / "model.bin"),
+                                  "--manifest", manifest, "--out", out],
+            "augment": ["augment", "--manifest", manifest, "--site", "0", "--count", "2",
+                        "--out-dir", str(tmp_path / "aug"), "--report"],
+        }[stage]
+        assert run(argv) == 2

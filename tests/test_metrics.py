@@ -9,6 +9,7 @@ from scharm.metrics import (
     closeness_centrality,
     clustering_coefficient,
     local_efficiency,
+    nodal_profiles,
     nodal_strength,
     normalized_laplacian,
     shortest_path_distances,
@@ -107,6 +108,17 @@ class TestBruteForceOracles:
         pm = ConnectivityMatrix(m.values[np.ix_(perm, perm)])
         for fn in (nodal_strength, closeness_centrality, clustering_coefficient, local_efficiency):
             assert np.allclose(fn(pm).values, fn(m).values[perm], atol=1e-10)
+
+
+class TestNodalProfiles:
+    def test_one_array_per_metric_in_column_order(self, rng):
+        m = random_connectome(rng, 7, density=0.6)
+        profiles = nodal_profiles(m)
+        # the `metrics` CSV writes its columns in this key order
+        assert list(profiles) == ["NS", "CC", "CLC", "LE"]
+        fns = (nodal_strength, closeness_centrality, clustering_coefficient, local_efficiency)
+        for values, fn in zip(profiles.values(), fns):
+            assert np.array_equal(values, fn(m).values)
 
 
 class TestEigen:
