@@ -136,8 +136,7 @@ def _cmd_augment(args) -> int:
                                site_index=args.site)
     originals = [r.matrix for r in records]
     augmented = aug.augment_site(originals, args.count, args.seed)
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir = sio.make_dir(args.out_dir)
     for i, m in enumerate(augmented):
         sio.save_matrix(m, out_dir / f"aug{i:05d}.csv")
     log.info("event=augmented site=%d count=%d out=%s", args.site, args.count, out_dir)
@@ -192,11 +191,8 @@ def _cmd_train(args) -> int:
         manifest = aug.augment_cohort(manifest, args.augment, seed=args.seed)
         log.info("event=augmented-train per_site=%d total=%d",
                  args.augment, len(manifest.records(split="train")))
-    out_dir = Path(args.out_dir)
-    try:  # before training, so a bad --out-dir does not cost a whole run
-        out_dir.mkdir(parents=True, exist_ok=True)
-    except OSError as e:
-        raise IoError(f"cannot create {out_dir}: {e}") from e
+    # before training, so a bad --out-dir does not cost a whole run
+    out_dir = sio.make_dir(args.out_dir)
     model, history = train(model, manifest, hyper)
     model.save(out_dir / "model.bin", history=history)
     log.info("event=trained arch=%s epochs=%d final_loss=%.6g out=%s",
@@ -212,7 +208,7 @@ def _cmd_harmonize(args) -> int:
     source = manifest.site_by_index(source_idx)
     records = manifest.records(site_index=source_idx)
     if args.method == "lr":
-        model = linear.model_from_csv(Path(args.model).read_text(), manifest.n_nodes)
+        model = linear.model_from_csv(sio.read_text(args.model), manifest.n_nodes)
         harmonized = [
             devectorize(linear.lr_harmonize(vectorize_upper(rec.matrix), source, target, model),
                         manifest.n_nodes)
@@ -268,11 +264,18 @@ def _cmd_evaluate(args) -> int:
                                    [target_by_id[s] for s in rshared],
                                    [retest_by_id[s] for s in rshared])
             )
-    sio.write_text(args.out, ev.report_table_csv(reports))
+    # both tables before either file, so a failed second write can undo the first
+    table = ev.report_table_csv(reports)
+    normalized = ev.normalized_report(reports) if args.normalized else None
+    sio.write_text(args.out, table)
     log.info("event=evaluated subjects=%d methods=%d out=%s", len(shared), len(reports), args.out)
-    if args.normalized:
+    if normalized is not None:
         norm_path = Path(args.out).with_name(Path(args.out).stem + "_normalized.csv")
-        sio.write_text(norm_path, ev.normalized_report(reports))
+        try:
+            sio.write_text(norm_path, normalized)
+        except IoError:
+            Path(args.out).unlink()
+            raise
         log.info("event=normalized-report out=%s", norm_path)
     return 0
 

@@ -1,13 +1,16 @@
 """File formats: matrix CSV, cohort manifest JSON, site/effect JSON.
 
-Matrices are plain headerless CSV, N rows x N columns of base-10 integers.
-Manifests are JSON indexes pointing at matrix files by relative path.
+Matrices are plain headerless CSV, N rows x N columns of comma-separated
+ASCII base-10 int64 integers (a sign is allowed, whitespace around a token is
+ignored). Blank lines are ignored; there are no comments, so `#` is a bad
+token. Manifests are JSON indexes pointing at matrix files by relative path.
 """
 
 from __future__ import annotations
 
 import json
 from pathlib import Path
+from typing import NoReturn
 
 import numpy as np
 
@@ -16,13 +19,22 @@ from .errors import IoError, NonIntegerEntry, ParseError
 from .synthetic import SyntheticSiteEffect
 
 
-def read_json(path):
-    """Parsed JSON file; IoError if it cannot be read, ParseError if it is not JSON text."""
+def read_text(path) -> str:
+    """Text of a file; IoError if it cannot be read, ParseError if it is not text."""
     try:
-        return json.loads(Path(path).read_text())
+        return Path(path).read_text()
     except OSError as e:
         raise IoError(f"cannot read {path}: {e}") from e
-    except ValueError as e:  # JSONDecodeError, or bytes that are not UTF-8
+    except UnicodeDecodeError as e:
+        raise ParseError(f"{path}: not text: {e}") from e
+
+
+def read_json(path):
+    """Parsed JSON file; IoError if it cannot be read, ParseError if it is not JSON text."""
+    text = read_text(path)
+    try:
+        return json.loads(text)
+    except ValueError as e:
         raise ParseError(f"{path}: invalid JSON: {e}") from e
 
 
@@ -34,39 +46,67 @@ def write_text(path, text: str) -> None:
         raise IoError(f"cannot write {path}: {e}") from e
 
 
+def make_dir(path) -> Path:
+    """Create a directory and its parents; IoError if it cannot be created."""
+    path = Path(path)
+    try:
+        path.mkdir(parents=True, exist_ok=True)
+    except OSError as e:
+        raise IoError(f"cannot create {path}: {e}") from e
+    return path
+
+
 def save_matrix(m: ConnectivityMatrix, path) -> None:
-    rows = "\n".join(",".join(str(int(v)) for v in row) for row in m.values)
-    write_text(path, rows + "\n")
+    n = m.n
+    write_text(path, ((",".join(["%d"] * n) + "\n") * n) % tuple(m.values.ravel().tolist()))
 
 
 def load_matrix(path) -> ConnectivityMatrix:
+    text = read_text(path)
+    lines = [line for line in text.splitlines() if line.strip()]
+    if not lines:
+        raise ParseError(f"{path}: empty matrix file")
     try:
-        text = Path(path).read_text()
-    except OSError as e:
-        raise IoError(f"cannot read {path}: {e}") from e
-    rows = []
+        values = np.loadtxt(lines, delimiter=",", dtype=np.int64, comments=None, ndmin=2)
+    except ValueError as e:
+        _raise_first_bad_token(path, text, e)
+    n = len(lines)
+    if values.shape != (n, n):
+        raise ParseError(f"{path}: expected {n}x{n} matrix, got row widths {[values.shape[1]]}")
+    return ConnectivityMatrix(values)
+
+
+def _raise_first_bad_token(path, text: str, error: ValueError) -> NoReturn:
+    """Name what np.loadtxt rejected in a matrix file; always raises.
+
+    Row numbers count blank lines. A float is NonIntegerEntry; any other token
+    that is not an ASCII base-10 int64 (`x`, `#`, an empty token, `3_0`,
+    non-ASCII digits, a value beyond int64) is ParseError, and so are ragged rows.
+    """
+    int64 = np.iinfo(np.int64)
+    widths = []
     for line_no, line in enumerate(text.splitlines()):
         if not line.strip():
             continue
-        row = []
-        for col_no, tok in enumerate(line.split(",")):
+        tokens = line.split(",")
+        widths.append(len(tokens))
+        for col_no, tok in enumerate(tokens):
             tok = tok.strip()
             try:
-                row.append(int(tok))
+                ok = int64.min <= int(tok) <= int64.max and tok.isascii() and "_" not in tok
             except ValueError:
                 try:
                     float(tok)
                 except ValueError:
-                    raise ParseError(f"{path}: bad token {tok!r} at row {line_no}, col {col_no}") from None
-                raise NonIntegerEntry(line_no, col_no) from None
-        rows.append(row)
-    if not rows:
-        raise ParseError(f"{path}: empty matrix file")
-    n = len(rows)
-    if any(len(r) != n for r in rows):
-        widths = sorted({len(r) for r in rows})
-        raise ParseError(f"{path}: expected {n}x{n} matrix, got row widths {widths}")
-    return ConnectivityMatrix(np.array(rows, dtype=np.int64))
+                    ok = False
+                else:
+                    raise NonIntegerEntry(line_no, col_no) from None
+            if not ok:
+                raise ParseError(f"{path}: bad token {tok!r} at row {line_no}, col {col_no}")
+    n = len(widths)
+    if any(w != n for w in widths):
+        raise ParseError(f"{path}: expected {n}x{n} matrix, got row widths {sorted(set(widths))}")
+    raise ParseError(f"{path}: {error}") from error
 
 
 def save_effect(effect: SyntheticSiteEffect, path) -> None:
@@ -131,7 +171,7 @@ def load_sites(path) -> list[SiteDescriptor]:
 def save_cohort(manifest: CohortManifest, out_dir) -> Path:
     """Write all matrices plus a manifest.json index; returns the manifest path."""
     out_dir = Path(out_dir)
-    (out_dir / "matrices").mkdir(parents=True, exist_ok=True)
+    make_dir(out_dir / "matrices")
     latent_dir = out_dir / "latents"
     subjects = []
     latent_saved = set()
@@ -148,7 +188,7 @@ def save_cohort(manifest: CohortManifest, out_dir) -> Path:
         if rec.latent_truth is not None:
             lpath = f"latents/{rec.subject_id}.csv"
             if rec.subject_id not in latent_saved:
-                latent_dir.mkdir(parents=True, exist_ok=True)
+                make_dir(latent_dir)
                 save_matrix(rec.latent_truth, out_dir / lpath)
                 latent_saved.add(rec.subject_id)
             entry["latent_path"] = lpath

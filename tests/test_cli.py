@@ -243,6 +243,48 @@ class TestExitCodes:
             argv = ["metrics", "--manifest", str(bad), "--out", str(tmp_path / "m.csv")]
         assert run(argv) == 1
 
+    @pytest.mark.parametrize("stage", ["harmonize", "generate", "augment"])
+    def test_out_dir_under_a_file_is_2(self, tmp_path, cohort_dir, stage):
+        manifest = str(cohort_dir / "manifest.json")
+        (tmp_path / "afile").write_text("")
+        out = tmp_path / "afile" / "x"
+        if stage == "generate":
+            assert _generate(tmp_path, 16, out) == 2
+            return
+        model_csv = tmp_path / "lr.csv"
+        assert run(["fit-lr", "--manifest", manifest, "--out", str(model_csv)]) == 0
+        argv = {
+            "harmonize": ["harmonize", "--manifest", manifest, "--method", "lr",
+                          "--model", str(model_csv), "--target-site", "3", "--out-dir", str(out)],
+            "augment": ["augment", "--manifest", manifest, "--site", "0", "--count", "2",
+                        "--out-dir", str(out)],
+        }[stage]
+        assert run(argv) == 2
+
+    def test_harmonize_missing_lr_model_is_2(self, tmp_path, cohort_dir):
+        assert run(["harmonize", "--manifest", str(cohort_dir / "manifest.json"),
+                    "--method", "lr", "--model", str(tmp_path / "nolr.csv"),
+                    "--target-site", "3", "--out-dir", str(tmp_path / "h")]) == 2
+        assert not (tmp_path / "h").exists()
+
+    @pytest.mark.parametrize("body", [
+        b"0,99999999999999999999\n99999999999999999999,0\n",  # beyond int64
+        b"0,\xff\n\xff,0\n",                                # not UTF-8
+    ])
+    def test_malformed_matrix_file_is_1(self, tmp_path, cohort_dir, body):
+        manifest = cohort_dir / "manifest.json"
+        first = json.loads(manifest.read_text())["subjects"][0]["matrix_path"]
+        (cohort_dir / first).write_bytes(body)
+        assert run(["metrics", "--manifest", str(manifest),
+                    "--out", str(tmp_path / "m.csv")]) == 1
+
+    def test_failed_normalized_report_leaves_no_report(self, tmp_path, cohort_dir):
+        manifest = str(cohort_dir / "manifest.json")
+        (tmp_path / "report_normalized.csv").mkdir()
+        assert run(["evaluate", "--pred-manifest", manifest, "--target-manifest", manifest,
+                    "--out", str(tmp_path / "report.csv"), "--normalized"]) == 2
+        assert not (tmp_path / "report.csv").exists()
+
     @pytest.mark.parametrize("stage", [
         "metrics", "fit-lr", "evaluate", "evaluate-normalized", "export-embeddings", "augment",
     ])

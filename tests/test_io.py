@@ -1,5 +1,10 @@
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from scharm import ConnectivityMatrix, split_cohort
 from scharm import io as sio
@@ -50,6 +55,51 @@ class TestMatrixCsv:
         path.write_text("\n")
         with pytest.raises(ParseError):
             sio.load_matrix(path)
+
+    @given(n=st.integers(1, 70), high=st.integers(0, np.iinfo(np.int64).max),
+           seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_round_trip_matches_reference_format(self, n, high, seed):
+        rng = np.random.default_rng(seed)
+        upper = np.triu(rng.integers(0, high, size=(n, n), endpoint=True, dtype=np.int64), 1)
+        upper[rng.random((n, n)) < 0.3] = 0
+        m = ConnectivityMatrix(upper + upper.T)
+        rows = m.values.tolist()
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "m.csv"
+            sio.save_matrix(m, path)
+            # the per-entry formatter the codec replaced
+            assert path.read_text() == "\n".join(",".join(str(v) for v in row) for row in rows) + "\n"
+            assert sio.load_matrix(path) == m
+
+    @pytest.mark.parametrize("text, error, index", [
+        ("0,1\n\n1.5,0\n", NonIntegerEntry, (2, 0)),  # row numbers count the blank line
+        ("0,1.0\n1.0,0\n", NonIntegerEntry, (0, 1)),
+        ("0,1e3\n1e3,0\n", NonIntegerEntry, (0, 1)),
+        ("0,x\nx,0\n", ParseError, None),
+        ("0,1\n1,0 # note\n", ParseError, None),      # no comments: `#` is a bad token
+        ("0,1,\n1,0,\n", ParseError, None),           # trailing comma
+        ("0,1\n1,0,2\n", ParseError, None),           # ragged rows
+        ("0,1,2\n1,0,2\n", ParseError, None),         # not square
+        ("", ParseError, None),
+        ("\n \n", ParseError, None),
+        ("0,99999999999999999999\n99999999999999999999,0\n", ParseError, None),  # beyond int64
+        ("0,3_0\n3_0,0\n", ParseError, None),
+        ("0,\u0663\n\u0663,0\n", ParseError, None),  # ARABIC-INDIC DIGIT THREE
+        (b"0,\xff\n\xff,0\n", ParseError, None),        # not UTF-8
+    ])
+    def test_malformed_matrix(self, tmp_path, text, error, index):
+        path = tmp_path / "m.csv"
+        path.write_bytes(text if isinstance(text, bytes) else text.encode())
+        with pytest.raises(error) as exc:
+            sio.load_matrix(path)
+        if index is not None:
+            assert exc.value.index == index
+
+    def test_whitespace_padded_tokens_accepted(self, tmp_path):
+        path = tmp_path / "m.csv"
+        path.write_text(" 0 ,\t3\n\n3 , 0 \n")
+        assert sio.load_matrix(path) == ConnectivityMatrix(np.array([[0, 3], [3, 0]]))
 
 
 class TestEffectAndSites:
