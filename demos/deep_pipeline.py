@@ -14,7 +14,7 @@ import time
 
 from scharm import split_cohort
 from scharm.augment import augment_cohort
-from scharm.core import highest_quality_site, lowest_quality_site
+from scharm.core import highest_quality_site, lowest_quality_site, pair_by_subject
 from scharm.deep import ArchitectureConfig, HarmonizerModel, TrainingConfig, train
 from scharm.evaluation import edge_metrics, fingerprint_accuracy, pairwise_distances
 from scharm.synthetic import default_cohort
@@ -47,14 +47,15 @@ print(f"loss {first.total_loss:.2f} -> {last.total_loss:.2f} "
 
 low = lowest_quality_site(cohort.sites)
 high = highest_quality_site(cohort.sites)
-lows = sorted(cohort.records(site_index=low.site_index), key=lambda r: r.subject_id)
-highs = {r.subject_id: r.matrix for r in cohort.records(site_index=high.site_index)}
-targets = [highs[r.subject_id] for r in lows]
-harmonized = model.harmonize_many([r.matrix for r in lows], high)
+pairs = pair_by_subject(cohort.records(site_index=low.site_index),
+                        cohort.records(site_index=high.site_index))
+lows = [s.matrix for s, _ in pairs]
+targets = [t.matrix for _, t in pairs]
+harmonized = model.harmonize_many(lows, high)
 
 mae = edge_metrics(harmonized, targets)["MAE"][0]
-raw = edge_metrics([r.matrix for r in lows], targets)["MAE"][0]
+raw = edge_metrics(lows, targets)["MAE"][0]
 fa = fingerprint_accuracy(pairwise_distances(harmonized, targets))
 print(f"\nlowest->highest MAE: unharmonized {raw:.3f}, harmonized {mae:.3f}")
-print(f"fingerprinting accuracy over {len(lows)} subjects: {fa:.3f} "
-      f"(chance {1 / len(lows):.3f})")
+print(f"fingerprinting accuracy over {len(pairs)} subjects: {fa:.3f} "
+      f"(chance {1 / len(pairs):.3f})")

@@ -11,8 +11,8 @@ Run:  python3 demos/linear_pipeline.py
 import numpy as np
 
 from scharm import devectorize, fit_lr, lr_harmonize, vectorize_upper
-from scharm.core import highest_quality_site, lowest_quality_site
-from scharm.evaluation import evaluate_method, report_table_csv
+from scharm.core import CohortManifest, SubjectRecord, highest_quality_site, lowest_quality_site
+from scharm.evaluation import evaluate_cohorts, report_table_csv
 from scharm.synthetic import default_cohort, redraw_retest
 
 # --- 1. the cohort -----------------------------------------------------------
@@ -32,22 +32,19 @@ print(f"fitted {model.d} per-edge models; "
       f"(true {effect.beta1[0]:g})")
 
 # --- 3. harmonize lowest -> highest ------------------------------------------
-lows = sorted(cohort.records(site_index=low.site_index), key=lambda r: r.subject_id)
-highs = {r.subject_id: r.matrix for r in cohort.records(site_index=high.site_index)}
-targets = [highs[r.subject_id] for r in lows]
-harmonized = [
-    devectorize(lr_harmonize(vectorize_upper(r.matrix), low, high, model), cohort.n_nodes)
+lows = cohort.records(site_index=low.site_index)
+harmonized = CohortManifest(sites=cohort.sites, subjects=[
+    SubjectRecord(subject_id=r.subject_id, site=high, matrix=devectorize(
+        lr_harmonize(vectorize_upper(r.matrix), low, high, model), cohort.n_nodes))
     for r in lows
-]
+])
 
 # --- 4. bracket between the bounds -------------------------------------------
-retest = redraw_retest(cohort, effect, high, [r.subject_id for r in lows], seed=1)
-reports = [
-    evaluate_method("lower_bound", [r.matrix for r in lows], targets),
-    evaluate_method("lr", harmonized, targets),
-    evaluate_method("upper_bound", targets, [r.matrix for r in retest]),
-]
+# a second scan of every subject at the highest-quality site
+retest = CohortManifest(sites=cohort.sites, subjects=redraw_retest(
+    cohort, effect, high, [r.subject_id for r in lows], seed=1))
+reports = evaluate_cohorts(harmonized, cohort, retest)
 print()
 print(report_table_csv(reports))
-print("MAE should decrease lower_bound -> lr and stay above upper_bound;")
+print("MAE should decrease lower_bound -> harmonized and stay above upper_bound;")
 print("FA=1.0 throughout means every subject stays nearest to themselves.")

@@ -35,8 +35,8 @@ from .deep import (
 )
 from .evaluation import (
     MetricReport,
-    compute_bounds,
     edge_metrics,
+    evaluate_cohorts,
     evaluate_method,
     fingerprint_accuracy,
     identifiability_difference,

@@ -18,7 +18,7 @@ from .core import (
     substream,
     vectorize_many,
 )
-from .errors import DimensionMismatch, EmptyInput, InsufficientSubjects
+from .errors import DimensionMismatch, EmptyInput, InsufficientSubjects, ValidationError
 from . import metrics as gm
 
 
@@ -36,7 +36,7 @@ def augment_site(subjects: list[ConnectivityMatrix], count: int, seed: int) -> l
     if len(subjects) < 2:
         raise InsufficientSubjects(f"need >= 2 subjects, got {len(subjects)}")
     if count < 1:
-        raise ValueError("count must be >= 1")
+        raise ValidationError("count must be >= 1")
     n = subjects[0].n
     if any(s.n != n for s in subjects):
         raise DimensionMismatch("all subjects must share a node count")

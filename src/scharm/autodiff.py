@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import ShapeMismatch, SpectrumOutOfRange
+from .errors import ShapeMismatch, SpectrumOutOfRange, ValidationError
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
@@ -249,7 +249,7 @@ def concat(tensors: list[Tensor], axis: int) -> Tensor:
 def grad_reversal(x: Tensor, lam: float) -> Tensor:
     """Identity forward; backward scales the upstream gradient by -lam."""
     if lam < 0:
-        raise ValueError("lambda must be >= 0")
+        raise ValidationError("lambda must be >= 0")
     out = Tensor(x.data.copy(), _children=(x,))
     out._backward = lambda g: x._accumulate(-lam * g)
     return out
@@ -262,7 +262,7 @@ def adain(f_e: Tensor, scale: Tensor, shift: Tensor, eps: float = 1e-5) -> Tenso
     (sample, feature) mean and population standard deviation over nodes.
     """
     if eps <= 0:
-        raise ValueError("eps must be > 0")
+        raise ValidationError("eps must be > 0")
     if f_e.data.ndim != 3 or scale.data.shape != f_e.data.shape[::2] or shift.data.shape != scale.data.shape:
         raise ShapeMismatch(
             f"adain shapes: f_e {f_e.data.shape}, scale {scale.data.shape}, shift {shift.data.shape}"
@@ -323,7 +323,7 @@ def weighted_mae_loss(pred: Tensor, target: np.ndarray, edge_weight: float = 2.5
     if pred.data.shape != target.shape:
         raise ShapeMismatch(f"pred {pred.data.shape} vs target {target.shape}")
     if edge_weight < 1:
-        raise ValueError("edge_weight must be >= 1")
+        raise ValidationError("edge_weight must be >= 1")
     weights = np.where(target > 0, edge_weight, 1.0)
     return (Tensor(weights) * (pred - Tensor(target)).abs()).mean()
 
@@ -352,7 +352,7 @@ def sigmoid_bce(logits: Tensor, targets: np.ndarray) -> Tensor:
     if logits.data.shape != targets.shape:
         raise ShapeMismatch(f"logits {logits.data.shape} vs targets {targets.shape}")
     if not np.all((targets == 0) | (targets == 1)):
-        raise ValueError("targets must be binary")
+        raise ValidationError("targets must be binary")
     softplus = ((-logits.abs()).exp() + 1.0).log()
     return (logits.relu() - logits * Tensor(targets) + softplus).mean()
 

@@ -239,36 +239,13 @@ def _cmd_harmonize(args) -> int:
 def _cmd_evaluate(args) -> int:
     pred = sio.load_cohort(args.pred_manifest)
     target = sio.load_cohort(args.target_manifest)
-    high = highest_quality_site(target.sites)
-    low = lowest_quality_site(target.sites)
-    pred_by_id = {r.subject_id: r.matrix for r in pred.subjects}
-    target_by_id = {r.subject_id: r.matrix
-                    for r in target.records(site_index=high.site_index)}
-    low_by_id = {r.subject_id: r.matrix
-                 for r in target.records(site_index=low.site_index)}
-    shared = sorted(set(pred_by_id) & set(target_by_id))
-    if not shared:
-        raise ValidationError("no shared subjects between pred and target manifests")
-    pred_mats = [pred_by_id[s] for s in shared]
-    target_mats = [target_by_id[s] for s in shared]
-    reports = [ev.evaluate_method("harmonized", pred_mats, target_mats)]
-    if all(s in low_by_id for s in shared):
-        reports.append(ev.evaluate_method("lower_bound", [low_by_id[s] for s in shared], target_mats))
-    if args.retest_manifest:
-        retest = sio.load_cohort(args.retest_manifest)
-        retest_by_id = {r.subject_id: r.matrix for r in retest.subjects}
-        rshared = sorted(set(retest_by_id) & set(target_by_id))
-        if rshared:
-            reports.append(
-                ev.evaluate_method("upper_bound",
-                                   [target_by_id[s] for s in rshared],
-                                   [retest_by_id[s] for s in rshared])
-            )
+    retest = sio.load_cohort(args.retest_manifest) if args.retest_manifest else None
+    reports = ev.evaluate_cohorts(pred, target, retest)
     # both tables before either file, so a failed second write can undo the first
     table = ev.report_table_csv(reports)
     normalized = ev.normalized_report(reports) if args.normalized else None
     sio.write_text(args.out, table)
-    log.info("event=evaluated subjects=%d methods=%d out=%s", len(shared), len(reports), args.out)
+    log.info("event=evaluated methods=%d out=%s", len(reports), args.out)
     if normalized is not None:
         norm_path = Path(args.out).with_name(Path(args.out).stem + "_normalized.csv")
         try:

@@ -217,6 +217,16 @@ class CohortManifest:
         return out
 
 
+def pair_by_subject(sources: list[SubjectRecord],
+                    targets: list[SubjectRecord]) -> list[tuple[SubjectRecord, SubjectRecord]]:
+    """(source, target) records of each subject in both lists, in subject-id
+    order; a subject listed twice on one side keeps its last record."""
+    source_by_id = {r.subject_id: r for r in sources}
+    target_by_id = {r.subject_id: r for r in targets}
+    shared = sorted(source_by_id.keys() & target_by_id.keys())
+    return [(source_by_id[s], target_by_id[s]) for s in shared]
+
+
 @lru_cache(maxsize=None)
 def _upper_indices(n: int) -> tuple[np.ndarray, np.ndarray]:
     """Row-major strict upper-triangle indices of an n x n matrix, computed once per n."""

@@ -35,6 +35,7 @@ from .core import (
     edge_count,
     highest_quality_site,
     lowest_quality_site,
+    pair_by_subject,
     substream,
     vectorize_many,
 )
@@ -65,7 +66,6 @@ class ArchitectureConfig:
     classifier_widths: list[int] = field(default_factory=lambda: [64])
     mapper_widths: list[int] = field(default_factory=lambda: [32])
     cheb_order: int = 3
-    cheb_layers: int = 2
     gae_hidden: int = 64
     norm: str = "batch"  # FAE hidden normalization
     edge_loss_weight: float = 2.5
@@ -93,7 +93,6 @@ class ArchitectureConfig:
             n_sites=n_sites,
             embedding_dim=32,
             cheb_order=3,
-            cheb_layers=2,
             gae_hidden=64,
             bce_enabled=True,
         )
@@ -228,8 +227,11 @@ class HarmonizerModel(Module):
         return np.stack([normalized_laplacian(m) - np.eye(m.n) for m in matrices])
 
     def _one_hot(self, site_indices: np.ndarray) -> np.ndarray:
-        eye = np.eye(self.config.n_sites)
-        return eye[np.asarray(site_indices, dtype=int)]
+        idx = np.asarray(site_indices, dtype=int)
+        outside = idx[(idx < 0) | (idx >= self.config.n_sites)]
+        if outside.size:
+            raise UnknownSite(f"site index {outside[0]} outside the model's {self.config.n_sites} sites")
+        return np.eye(self.config.n_sites)[idx]
 
     # -- forward passes ---------------------------------------------------------
 
@@ -284,8 +286,6 @@ class HarmonizerModel(Module):
 
     def decode(self, f_e: np.ndarray, target_site: SiteDescriptor,
                source_matrix: ConnectivityMatrix | None = None) -> ConnectivityMatrix:
-        if target_site.site_index >= self.config.n_sites:
-            raise UnknownSite(f"site index {target_site.site_index} >= {self.config.n_sites}")
         laps = None
         if self.config.kind == "gae":
             if source_matrix is None:
@@ -330,9 +330,10 @@ class HarmonizerModel(Module):
     def load(cls, path) -> tuple["HarmonizerModel", TrainingHistory | None]:
         sidecar = read_json(str(path) + ".json")
         try:
+            sidecar["config"].pop("cheb_layers", None)  # written by earlier versions, never read
             config = ArchitectureConfig.from_dict(sidecar["config"])
             history = TrainingHistory.from_dict(sidecar["history"]) if sidecar.get("history") else None
-        except (KeyError, TypeError) as e:
+        except (KeyError, TypeError, AttributeError) as e:
             raise ParseError(f"{path}.json: malformed sidecar: {type(e).__name__} {e}") from e
         model = cls(config, seed=sidecar.get("seed", 0))
         model.epoch = sidecar.get("epoch", 0)
@@ -353,6 +354,10 @@ class TrainingConfig:
     grl_gamma: float = 10.0
     seed: int = 0
     restore_best: bool = True
+
+    def __post_init__(self):
+        if self.epochs < 1:
+            raise ValidationError(f"epochs must be >= 1, got {self.epochs}")
 
 
 def _validation_scores(harmonized: list[ConnectivityMatrix],
@@ -394,12 +399,10 @@ def train(model: HarmonizerModel, cohort: CohortManifest,
         targets = np.stack([m.values.astype(np.float64) for m in matrices])
     bce_targets = (targets > 0).astype(np.float64) if cfg.bce_enabled else None
 
-    low = lowest_quality_site(cohort.sites)
-    high = highest_quality_site(cohort.sites)
-    val_low = sorted(cohort.records(split="val", site_index=low.site_index), key=lambda r: r.subject_id)
-    val_high = {r.subject_id: r.matrix
-                for r in cohort.records(split="val", site_index=high.site_index)}
-    val_pairs = [(r.matrix, val_high[r.subject_id]) for r in val_low if r.subject_id in val_high]
+    low, high = lowest_quality_site(cohort.sites), highest_quality_site(cohort.sites)
+    val_pairs = pair_by_subject(cohort.records(split="val", site_index=low.site_index),
+                                cohort.records(split="val", site_index=high.site_index))
+    val_sources, val_targets = [s.matrix for s, _ in val_pairs], [t.matrix for _, t in val_pairs]
 
     opt_encdec = AdamState(model.encdec_parameters())
     opt_aux = AdamState(model.aux_parameters())
@@ -412,7 +415,7 @@ def train(model: HarmonizerModel, cohort: CohortManifest,
 
     baseline_mae = None
     if val_pairs:
-        baseline_mae, _ = _validation_scores([p[0] for p in val_pairs], [p[1] for p in val_pairs])
+        baseline_mae, _ = _validation_scores(val_sources, val_targets)
 
     n = len(train_records)
     for epoch in range(hyper.epochs):
@@ -451,8 +454,8 @@ def train(model: HarmonizerModel, cohort: CohortManifest,
 
         val_mae, val_fa = np.nan, np.nan
         if val_pairs:
-            harmonized = model.harmonize_many([p[0] for p in val_pairs], high)
-            val_mae, val_fa = _validation_scores(harmonized, [p[1] for p in val_pairs])
+            harmonized = model.harmonize_many(val_sources, high)
+            val_mae, val_fa = _validation_scores(harmonized, val_targets)
             score = _epoch_score(val_mae, val_fa, baseline_mae)
             if hyper.restore_best and score < best_score:
                 best_score = score
@@ -500,23 +503,13 @@ def select_best_epoch(history: TrainingHistory, baseline_mae: float) -> int:
     return int(np.argmin(scores))
 
 
-def export_embeddings(model: HarmonizerModel, cohort: CohortManifest,
-                      include_full: bool = False) -> str:
-    """CSV dump of encoder embeddings, one row per (subject, site) record.
-
-    GAE embeddings are mean-pooled over nodes to K values; include_full
-    appends the flattened N x K embedding as extra columns.
-    """
+def export_embeddings(model: HarmonizerModel, cohort: CohortManifest) -> str:
+    """CSV dump of encoder embeddings, one row per (subject, site) record;
+    GAE embeddings are mean-pooled over nodes to K values."""
     k = model.config.embedding_dim
-    header = ["subject_id", "site_index"] + [f"e{i}" for i in range(k)]
-    if include_full and model.config.kind == "gae":
-        header += [f"full{i}" for i in range(model.config.n_nodes * k)]
-    lines = [",".join(header)]
+    lines = [",".join(["subject_id", "site_index"] + [f"e{i}" for i in range(k)])]
     for rec in cohort.subjects:
         emb = model.encode(rec.matrix)
         pooled = emb.mean(axis=0) if emb.ndim == 2 else emb
-        row = [rec.subject_id, str(rec.site.site_index)] + [f"{v:.10g}" for v in pooled]
-        if include_full and model.config.kind == "gae":
-            row += [f"{v:.10g}" for v in emb.reshape(-1)]
-        lines.append(",".join(row))
+        lines.append(",".join([rec.subject_id, str(rec.site.site_index)] + [f"{v:.10g}" for v in pooled]))
     return "\n".join(lines) + "\n"

@@ -5,8 +5,8 @@ class ScharmError(Exception):
     """Base class for all toolkit errors."""
 
 
-class ValidationError(ScharmError):
-    """A domain invariant was violated."""
+class ValidationError(ScharmError, ValueError):
+    """A domain invariant or an argument's allowed range was violated."""
 
 
 class AsymmetricMatrix(ValidationError):

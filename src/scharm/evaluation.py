@@ -5,7 +5,7 @@ subjects: edge-level accuracy (MAE, binary MAE, Pearson correlation),
 topology preservation (nodal-metric and eigenvalue MAEs), and individuality
 retention (fingerprinting accuracy and identifiability difference), plus
 the unharmonized lower bound, the test-retest upper bound, and a min-max
-normalized comparison table.
+normalized comparison table. `evaluate_cohorts` is the whole protocol.
 """
 
 from __future__ import annotations
@@ -15,8 +15,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import ConnectivityMatrix, vectorize_many
-from .errors import DimensionMismatch, EmptyInput
+from .core import (CohortManifest, ConnectivityMatrix, highest_quality_site, lowest_quality_site,
+                   pair_by_subject, vectorize_many)
+from .errors import DimensionMismatch, EmptyInput, ValidationError
 from . import metrics as gm
 
 EDGE_METRICS = ("MAE", "BMAE", "PC")
@@ -66,19 +67,21 @@ def edge_metrics(pred: list[ConnectivityMatrix],
     }
 
 
-def topology_metrics(pred: list[ConnectivityMatrix],
-                     target: list[ConnectivityMatrix]) -> dict[str, tuple[float, float]]:
+def topology_metrics(pred: list[ConnectivityMatrix], target: list[ConnectivityMatrix],
+                     topology: dict | None = None) -> dict[str, tuple[float, float]]:
     """Per-subject mean absolute nodal-score differences (NS, CC, CLC, LE)
-    and sorted-eigenvalue MAE (EV), aggregated as (mean, population std)."""
+    and sorted-eigenvalue MAE (EV), aggregated as (mean, population std).
+    Calls sharing one `topology` dict compute each distinct matrix once."""
     _check_pair(pred, target)
+    topology = {} if topology is None else topology
     per_subject: dict[str, list[float]] = {name: [] for name in TOPOLOGY_METRICS}
     for p, t in zip(pred, target):
-        prof_p, prof_t = gm.nodal_profiles(p), gm.nodal_profiles(t)
-        for name in prof_p:
-            per_subject[name].append(float(np.abs(prof_p[name] - prof_t[name]).mean()))
-        ev_p = gm.symmetric_eigenvalues(p.values.astype(float)).eigenvalues
-        ev_t = gm.symmetric_eigenvalues(t.values.astype(float)).eigenvalues
-        per_subject["EV"].append(float(np.abs(ev_p - ev_t).mean()))
+        for m in (p, t):
+            if m not in topology:  # NS, CC, CLC, LE per node and the ascending eigenvalues
+                ev = gm.symmetric_eigenvalues(m.values.astype(float)).eigenvalues
+                topology[m] = {**gm.nodal_profiles(m), "EV": ev}
+        for name in TOPOLOGY_METRICS:
+            per_subject[name].append(float(np.abs(topology[p][name] - topology[t][name]).mean()))
     return {name: (float(np.mean(v)), float(np.std(v))) for name, v in per_subject.items()}
 
 
@@ -117,33 +120,42 @@ def identifiability_difference(p: np.ndarray) -> float:
     return float(off - diag.mean())
 
 
-def evaluate_method(method: str, pred: list[ConnectivityMatrix],
-                    target: list[ConnectivityMatrix]) -> MetricReport:
-    """Full metric battery for one method against its targets."""
-    report = MetricReport(method=method)
-    for name, (mean, std) in {**edge_metrics(pred, target), **topology_metrics(pred, target)}.items():
-        report.means[name] = mean
-        report.stds[name] = std
+def evaluate_method(method: str, pred: list[ConnectivityMatrix], target: list[ConnectivityMatrix],
+                    topology: dict | None = None) -> MetricReport:
+    """Full metric battery for one method against its targets; `topology` as in topology_metrics."""
+    scores = {**edge_metrics(pred, target), **topology_metrics(pred, target, topology)}
+    report = MetricReport(method, means={name: m for name, (m, _) in scores.items()},
+                          stds={name: s for name, (_, s) in scores.items()})
     p = pairwise_distances(pred, target)
     report.means["FA"] = fingerprint_accuracy(p)
     report.means["ID"] = identifiability_difference(p)
     return report
 
 
-def compute_bounds(lowest_raw: list[ConnectivityMatrix],
-                   highest: list[ConnectivityMatrix],
-                   retest: list[ConnectivityMatrix] | None = None,
-                   highest_for_retest: list[ConnectivityMatrix] | None = None,
-                   ) -> tuple[MetricReport, MetricReport | None]:
-    """Lower bound: unharmonized lowest-quality vs highest-quality matrices.
-    Upper bound: highest-quality test vs retest matrices for the retest
-    subjects (pass highest_for_retest when retest covers a subset)."""
-    lower = evaluate_method("lower_bound", lowest_raw, highest)
-    upper = None
-    if retest is not None:
-        reference = highest_for_retest if highest_for_retest is not None else highest
-        upper = evaluate_method("upper_bound", reference, retest)
-    return lower, upper
+def evaluate_cohorts(pred: CohortManifest, target: CohortManifest,
+                     retest: CohortManifest | None = None) -> list[MetricReport]:
+    """Score `pred` against the highest-quality site of `target`, between two
+    bounds; each row pairs records by subject id, in subject-id order:
+    - harmonized: pred records against the same subjects' highest-quality records
+      (none shared is a ValidationError);
+    - lower_bound: those subjects' lowest-quality records against the same targets,
+      only when every one of them has a lowest-quality record;
+    - upper_bound: highest-quality records against the retest records of the
+      subjects both hold, only when there is such a subject.
+    Each distinct matrix's topology is computed once per call."""
+    high = target.records(site_index=highest_quality_site(target.sites).site_index)
+    low = target.records(site_index=lowest_quality_site(target.sites).site_index)
+    harmonized = pair_by_subject(pred.subjects, high)
+    if not harmonized:
+        raise ValidationError("no shared subjects between pred and target manifests")
+    lower = pair_by_subject(low, [t for _, t in harmonized])
+    if len(lower) < len(harmonized):
+        lower = []
+    upper = pair_by_subject(high, retest.subjects) if retest is not None else []
+    topology = {}
+    rows = {"harmonized": harmonized, "lower_bound": lower, "upper_bound": upper}
+    return [evaluate_method(name, [a.matrix for a, _ in pairs], [b.matrix for _, b in pairs], topology)
+            for name, pairs in rows.items() if pairs]
 
 
 def report_table_csv(reports: list[MetricReport]) -> str:

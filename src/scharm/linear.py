@@ -16,7 +16,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import EdgeVector, SiteDescriptor, edge_count
-from .errors import DimensionMismatch, RankDeficientDesign, TooFewObservations
+from .errors import (
+    DimensionMismatch,
+    ParseError,
+    RankDeficientDesign,
+    TooFewObservations,
+    ValidationError,
+)
 
 
 @dataclass(frozen=True)
@@ -34,7 +40,7 @@ class LinearEdgeModel:
                 f"coefficients must be ({d}, 4) for n={self.n_nodes}, got {self.coefficients.shape}"
             )
         if not np.all(np.isfinite(self.coefficients)):
-            raise ValueError("non-finite coefficients")
+            raise ValidationError("non-finite coefficients")
 
     @property
     def d(self) -> int:
@@ -90,8 +96,11 @@ def lr_harmonize(
     return EdgeVector(n=v.n, values=round_half_away(np.maximum(adjusted, 0.0)))
 
 
+_HEADER = "edge_index,beta0,beta1,beta2,beta3,residual_variance"
+
+
 def model_to_csv(model: LinearEdgeModel) -> str:
-    lines = ["edge_index,beta0,beta1,beta2,beta3,residual_variance"]
+    lines = [_HEADER]
     for e in range(model.d):
         b = model.coefficients[e]
         lines.append(
@@ -102,12 +111,32 @@ def model_to_csv(model: LinearEdgeModel) -> str:
 
 
 def model_from_csv(text: str, n_nodes: int) -> LinearEdgeModel:
-    rows = [line for line in text.splitlines()[1:] if line.strip()]
-    coeff = np.zeros((len(rows), 4))
-    resvar = np.zeros(len(rows))
-    for line in rows:
+    """Parse model_to_csv output: the header, then one row of six finite numbers
+    for each edge index 0..D-1, in any order; blank lines are ignored. Anything
+    else is ParseError, so a damaged file never loads as a model with a zero edge."""
+    lines = [line for line in text.splitlines() if line.strip()]
+    if not lines or lines[0].strip() != _HEADER:
+        raise ParseError(f"LR model: expected the header {_HEADER!r}")
+    d = edge_count(n_nodes)
+    if len(lines) - 1 != d:
+        raise ParseError(f"LR model: {len(lines) - 1} edge rows, a {n_nodes}-node cohort has {d} edges")
+    parsed = [None] * d
+    for row_no, line in enumerate(lines[1:], start=1):
         parts = line.split(",")
-        e = int(parts[0])
-        coeff[e] = [float(x) for x in parts[1:5]]
-        resvar[e] = float(parts[5])
-    return LinearEdgeModel(n_nodes=n_nodes, coefficients=coeff, residual_variance=resvar)
+        if len(parts) != 6:
+            raise ParseError(f"LR model row {row_no}: expected 6 fields, got {len(parts)}")
+        try:
+            e, values = int(parts[0]), [float(x) for x in parts[1:]]
+        except ValueError as err:
+            raise ParseError(f"LR model row {row_no}: {err}") from None
+        if not 0 <= e < d:
+            raise ParseError(f"LR model row {row_no}: edge index {e} outside 0..{d - 1}")
+        if parsed[e] is not None:
+            raise ParseError(f"LR model row {row_no}: edge index {e} repeated")
+        parsed[e] = values
+    rows = np.array(parsed)
+    bad = np.flatnonzero(~np.isfinite(rows).all(axis=1))
+    if bad.size:
+        raise ParseError(f"LR model: non-finite value for edge index {bad[0]}")
+    return LinearEdgeModel(n_nodes=n_nodes, coefficients=rows[:, :4].copy(),
+                           residual_variance=rows[:, 4].copy())

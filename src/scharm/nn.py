@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from .autodiff import Tensor, adain, chebconv
-from .errors import ShapeMismatch
+from .errors import ShapeMismatch, ValidationError
 
 
 def glorot(rng: np.random.Generator, fan_in: int, fan_out: int, shape=None) -> np.ndarray:
@@ -56,9 +56,9 @@ class Dense(Module):
         elif norm == "none":
             self.norm = None
         else:
-            raise ValueError(f"unknown norm {norm!r}")
+            raise ValidationError(f"unknown norm {norm!r}")
         if act not in ("relu", "none"):
-            raise ValueError(f"unknown act {act!r}")
+            raise ValidationError(f"unknown act {act!r}")
         self.act = act
 
     def __call__(self, x: Tensor, training: bool = True) -> Tensor:
@@ -142,7 +142,7 @@ class ChebConv(Module):
         elif norm == "none":
             self.norm = None
         else:
-            raise ValueError(f"unknown norm {norm!r} for graph layers")
+            raise ValidationError(f"unknown norm {norm!r} for graph layers")
         self.act = act
 
     def __call__(self, x: Tensor, l_rescaled, training: bool = True, validate_spectrum: bool = False) -> Tensor:

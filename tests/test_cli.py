@@ -4,12 +4,12 @@ import pytest
 
 from scharm import io as sio
 from scharm.cli import run
-from scharm.core import table1_sites
+from scharm.core import SiteDescriptor, table1_sites
 
 
-def _generate(tmp_path, subjects: int, out) -> int:
+def _generate(tmp_path, subjects: int, out, sites_list=None) -> int:
     sites = tmp_path / "sites.json"
-    sio.save_sites(table1_sites(), sites)
+    sio.save_sites(sites_list or table1_sites(), sites)
     effect = tmp_path / "effect.json"
     effect.write_text('{"beta1_const": 2.0, "beta2_const": 0.002, "noise_sigma": 1.0}')
     return run([
@@ -185,6 +185,7 @@ class TestExitCodes:
         ("{not json", 1),                    # invalid JSON
         ('{"embedding_dim": 8, "widht": 3}', 1),  # unknown field
         ("[8, 16]", 1),                      # JSON, but not an object
+        ('{"cheb_layers": 7}', 1),           # a field the model never read
     ])
     def test_train_config_errors(self, tmp_path, cohort_dir, body, code):
         cfg = tmp_path / "cfg.json"
@@ -315,3 +316,68 @@ class TestExitCodes:
                         "--out-dir", str(tmp_path / "aug"), "--report"],
         }[stage]
         assert run(argv) == 2
+
+
+def _two_site_cohort(tmp_path, indices) -> str:
+    """24 subjects at two sites with the given site indices (low quality first)."""
+    sites = [SiteDescriptor(b_value=1000.0, resolution=2.3, site_index=indices[0]),
+             SiteDescriptor(b_value=3000.0, resolution=1.25, site_index=indices[1])]
+    out = tmp_path / "two_sites"
+    assert _generate(tmp_path, 24, out, sites) == 0
+    return str(out / "manifest.json")
+
+
+class TestRejectedBeforeOutput:
+    """Each case exits 1 (no traceback) and leaves no output behind."""
+
+    def test_train_on_a_site_index_beyond_the_site_count(self, tmp_path):
+        model_dir = tmp_path / "model"
+        assert run(["train", "--manifest", _two_site_cohort(tmp_path, (0, 5)), "--arch", "fae",
+                    "--config", str(_tiny_fae_config(tmp_path)), "--epochs", "1",
+                    "--out-dir", str(model_dir)]) == 1
+        assert not (model_dir / "model.bin").exists()
+
+    def test_harmonize_to_a_site_the_model_lacks(self, tmp_path, cohort_dir):
+        model_dir = tmp_path / "model"
+        assert run(["train", "--manifest", _two_site_cohort(tmp_path, (0, 1)), "--arch", "fae",
+                    "--config", str(_tiny_fae_config(tmp_path)), "--epochs", "1",
+                    "--out-dir", str(model_dir)]) == 0
+        assert run(["harmonize", "--manifest", str(cohort_dir / "manifest.json"),
+                    "--method", "fae", "--model", str(model_dir / "model.bin"),
+                    "--target-site", "3", "--out-dir", str(tmp_path / "h")]) == 1
+        assert not (tmp_path / "h" / "manifest.json").exists()
+
+    @pytest.mark.parametrize("epochs", ["0", "-1"])
+    def test_train_needs_an_epoch(self, tmp_path, cohort_dir, epochs):
+        assert run(["train", "--manifest", str(cohort_dir / "manifest.json"), "--arch", "fae",
+                    "--config", str(_tiny_fae_config(tmp_path)), "--epochs", epochs,
+                    "--out-dir", str(tmp_path / "model")]) == 1
+        assert not (tmp_path / "model").exists()
+
+    def test_augment_count_zero(self, tmp_path, cohort_dir):
+        assert run(["augment", "--manifest", str(cohort_dir / "manifest.json"), "--site", "0",
+                    "--count", "0", "--out-dir", str(tmp_path / "aug")]) == 1
+        assert not (tmp_path / "aug").exists()
+
+    def test_harmonize_with_a_repeated_lr_edge(self, tmp_path, cohort_dir):
+        manifest = str(cohort_dir / "manifest.json")
+        model_csv = tmp_path / "lr.csv"
+        assert run(["fit-lr", "--manifest", manifest, "--out", str(model_csv)]) == 0
+        lines = model_csv.read_text().splitlines()
+        lines[2] = "0" + lines[2][lines[2].index(","):]  # edge 0 twice, edge 1 missing
+        model_csv.write_text("\n".join(lines) + "\n")
+        assert run(["harmonize", "--manifest", manifest, "--method", "lr",
+                    "--model", str(model_csv), "--target-site", "3",
+                    "--out-dir", str(tmp_path / "h")]) == 1
+        assert not (tmp_path / "h").exists()
+
+    def test_evaluate_without_a_shared_subject(self, tmp_path, cohort_dir):
+        payload = json.loads((cohort_dir / "manifest.json").read_text())
+        for entry in payload["subjects"]:
+            entry["id"] = "other-" + entry["id"]
+        renamed = cohort_dir / "renamed.json"  # next to the matrices it points at
+        renamed.write_text(json.dumps(payload))
+        assert run(["evaluate", "--pred-manifest", str(renamed),
+                    "--target-manifest", str(cohort_dir / "manifest.json"),
+                    "--out", str(tmp_path / "report.csv")]) == 1
+        assert not (tmp_path / "report.csv").exists()

@@ -17,7 +17,7 @@ from scharm import (
     validate_matrix,
     vectorize_upper,
 )
-from scharm.core import quality_key, substream, vectorize_many
+from scharm.core import pair_by_subject, quality_key, substream, vectorize_many
 from scharm.errors import (
     AsymmetricMatrix,
     EmptyCohort,
@@ -199,3 +199,30 @@ class TestSubstream:
         assert train and all(labeled.split_labels[r.subject_id] == "train" for r in train)
         site0 = labeled.records(site_index=0)
         assert site0 and all(r.site.site_index == 0 for r in site0)
+
+
+class TestPairBySubject:
+    def test_pairs_shared_subjects_in_id_order(self, rng):
+        low, high = table1_sites()[0], table1_sites()[3]
+
+        def recs(ids, site):
+            return [SubjectRecord(subject_id=s, site=site, matrix=random_connectome(rng, 5))
+                    for s in ids]
+
+        sources, targets = recs(["b", "c", "a", "x"], low), recs(["c", "y", "a", "b"], high)
+        pairs = pair_by_subject(sources, targets)
+        assert [(s.subject_id, t.subject_id) for s, t in pairs] == [("a", "a"), ("b", "b"), ("c", "c")]
+        assert all(s.site == low and t.site == high for s, t in pairs)
+        assert pairs[0][0] is sources[2] and pairs[0][1] is targets[2]
+
+    def test_nothing_shared(self, rng):
+        site = table1_sites()[0]
+        a = [SubjectRecord(subject_id="a", site=site, matrix=random_connectome(rng, 5))]
+        b = [SubjectRecord(subject_id="b", site=site, matrix=random_connectome(rng, 5))]
+        assert pair_by_subject(a, b) == []
+        assert pair_by_subject([], b) == []
+
+    def test_matrix_hashable_by_value(self, rng):
+        m = random_connectome(rng, 6)
+        twin = ConnectivityMatrix(m.values.copy())
+        assert twin == m and hash(twin) == hash(m) and len({m, twin}) == 1

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -78,6 +80,11 @@ class TestArchitectureConfig:
             ArchitectureConfig(kind="vae", n_nodes=8, n_sites=4)
         with pytest.raises(ValidationError):
             ArchitectureConfig(kind="fae", n_nodes=8, n_sites=4, encoder_widths=[0])
+
+    def test_unused_cheb_layers_field_rejected(self):
+        with pytest.raises(ValidationError, match="cheb_layers"):
+            ArchitectureConfig.from_dict({**ArchitectureConfig.gae_default(8, 4).to_dict(),
+                                          "cheb_layers": 7})
 
 
 @pytest.mark.parametrize("kind", ["fae", "gae"])
@@ -161,6 +168,20 @@ class TestModelPlumbing:
         bad = SiteDescriptor(b_value=5000.0, resolution=1.0, site_index=9)
         with pytest.raises(UnknownSite):
             model.decode(model.encode(m), bad, source_matrix=m)
+        with pytest.raises(UnknownSite):
+            model.harmonize_many([m], bad)
+
+    def test_sidecar_with_cheb_layers_still_loads(self, kind, rng, tmp_path):
+        model = HarmonizerModel(_tiny_config(kind), seed=5)
+        path = tmp_path / "model.bin"
+        model.save(path)
+        sidecar = json.loads((tmp_path / "model.bin.json").read_text())
+        sidecar["config"]["cheb_layers"] = 2  # written by earlier versions, never read
+        (tmp_path / "model.bin.json").write_text(json.dumps(sidecar))
+        loaded, _ = HarmonizerModel.load(path)
+        assert loaded.config == model.config
+        m = random_connectome(rng, N)
+        assert loaded.harmonize(m, SITES[3]) == model.harmonize(m, SITES[3])
 
     def test_parameter_groups_partition(self, kind, rng):
         model = HarmonizerModel(_tiny_config(kind), seed=0)
@@ -245,6 +266,18 @@ class TestTraining:
         model = HarmonizerModel(_tiny_config("fae"), seed=0)
         with pytest.raises(ValidationError):
             train(model, cohort, TrainingConfig(epochs=1, batch_size=512))
+
+    @pytest.mark.parametrize("epochs", [0, -3])
+    def test_epochs_validated(self, epochs):
+        with pytest.raises(ValidationError):
+            TrainingConfig(epochs=epochs)
+
+    def test_training_site_outside_the_model(self):
+        cohort = _small_cohort(n_subjects=4)
+        config = _tiny_config("fae")
+        config.n_sites = 3  # the cohort also uses site index 3
+        with pytest.raises(UnknownSite):
+            train(HarmonizerModel(config, seed=0), cohort, TrainingConfig(epochs=1, batch_size=8))
 
 
 class TestBestEpoch:

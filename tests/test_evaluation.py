@@ -2,12 +2,14 @@ import numpy as np
 import pytest
 
 from scharm import ConnectivityMatrix
-from scharm.errors import DimensionMismatch, EmptyInput
+from scharm import metrics as gm
+from scharm.core import CohortManifest, SubjectRecord, table1_sites
+from scharm.errors import DimensionMismatch, EmptyInput, ValidationError
 from scharm.evaluation import (
     ALL_METRICS,
     MetricReport,
-    compute_bounds,
     edge_metrics,
+    evaluate_cohorts,
     evaluate_method,
     fingerprint_accuracy,
     identifiability_difference,
@@ -126,14 +128,11 @@ class TestReports:
         assert lines[0].startswith("method,MAE_mean,MAE_std,")
         assert lines[1].startswith("a,")
 
-    def test_compute_bounds(self, rng):
-        low, high = _pair(rng, n=6)
-        retest = [random_connectome(rng, 6) for _ in high]
-        lower, upper = compute_bounds(low, high, retest=retest)
-        assert lower.method == "lower_bound"
-        assert upper.method == "upper_bound"
-        lower_only, no_upper = compute_bounds(low, high)
-        assert no_upper is None
+    def test_bound_rows(self, rng):
+        pred, target, retest = _cohorts(rng)
+        assert _methods(evaluate_cohorts(pred, target, retest)) == [
+            "harmonized", "lower_bound", "upper_bound"]
+        assert _methods(evaluate_cohorts(pred, target)) == ["harmonized", "lower_bound"]
 
     def test_normalized_report_min_max_and_inversion(self):
         # MAE is an error metric: the lower value must normalize to 1
@@ -164,3 +163,83 @@ class TestReports:
     def test_normalized_report_needs_two_methods(self):
         with pytest.raises(EmptyInput):
             normalized_report([MetricReport(method="solo")])
+
+
+SITES = table1_sites()  # site 0 has the lowest quality, site 3 the highest
+
+
+def _records(rng, ids, site, n=6):
+    return [SubjectRecord(subject_id=sid, site=site, matrix=random_connectome(rng, n)) for sid in ids]
+
+
+def _cohorts(rng):
+    """Target at sites 0, 1 and 3 for s0..s3; pred holds s0..s3 plus one subject
+    the target lacks; retest holds s1, s2 and one subject the target lacks."""
+    ids = ["s2", "s0", "s3", "s1"]  # not in subject-id order
+    target = CohortManifest(subjects=_records(rng, ids, SITES[3]) + _records(rng, ids, SITES[0])
+                            + _records(rng, ids, SITES[1]), sites=SITES)
+    pred = CohortManifest(subjects=_records(rng, ids + ["x9"], SITES[3]), sites=SITES)
+    retest = CohortManifest(subjects=_records(rng, ["s2", "zz", "s1"], SITES[3]), sites=SITES)
+    return pred, target, retest
+
+
+def _methods(reports):
+    return [r.method for r in reports]
+
+
+def _by_id(manifest, site_index=None):
+    return {r.subject_id: r.matrix for r in manifest.records(site_index=site_index)}
+
+
+class TestEvaluateCohorts:
+    def test_equals_evaluate_method_on_the_same_pairs(self, rng):
+        pred, target, retest = _cohorts(rng)
+        p, high, low, re = _by_id(pred), _by_id(target, 3), _by_id(target, 0), _by_id(retest)
+        shared = ["s0", "s1", "s2", "s3"]
+        expected = [
+            evaluate_method("harmonized", [p[s] for s in shared], [high[s] for s in shared]),
+            evaluate_method("lower_bound", [low[s] for s in shared], [high[s] for s in shared]),
+            evaluate_method("upper_bound", [high[s] for s in ("s1", "s2")],
+                            [re[s] for s in ("s1", "s2")]),
+        ]
+        got = evaluate_cohorts(pred, target, retest)
+        assert _methods(got) == _methods(expected)
+        for g, e in zip(got, expected):
+            assert g.means == e.means and g.stds == e.stds, g.method
+
+    def test_topology_computed_once_per_distinct_matrix(self, rng, monkeypatch):
+        pred, target, retest = _cohorts(rng)
+        # an equal matrix in another record is the same key
+        twin = target.records(site_index=3)[0]
+        pred.subjects[0] = SubjectRecord(subject_id=twin.subject_id, site=SITES[3],
+                                         matrix=ConnectivityMatrix(twin.matrix.values.copy()))
+        profiles, spectra = [], []
+        nodal_profiles, symmetric_eigenvalues = gm.nodal_profiles, gm.symmetric_eigenvalues
+        monkeypatch.setattr(gm, "nodal_profiles", lambda m: profiles.append(m) or nodal_profiles(m))
+        monkeypatch.setattr(gm, "symmetric_eigenvalues",
+                            lambda a: spectra.append(a) or symmetric_eigenvalues(a))
+        evaluate_cohorts(pred, target, retest)
+        used = ({r.matrix for r in pred.subjects if r.subject_id != "x9"}
+                | set(_by_id(target, 3).values()) | set(_by_id(target, 0).values())
+                | {r.matrix for r in retest.subjects if r.subject_id != "zz"})
+        assert len(used) == 4 + 3 + 4 + 2  # the twin is counted once
+        assert len(profiles) == len(set(profiles)) == len(used)
+        assert set(profiles) == used
+        assert len(spectra) == len(used)
+
+    def test_lower_bound_omitted_when_a_subject_lacks_a_lowest_quality_record(self, rng):
+        pred, target, retest = _cohorts(rng)
+        target.subjects = [r for r in target.subjects
+                           if not (r.subject_id == "s2" and r.site.site_index == 0)]
+        assert _methods(evaluate_cohorts(pred, target, retest)) == ["harmonized", "upper_bound"]
+
+    def test_upper_bound_needs_a_shared_retest_subject(self, rng):
+        pred, target, _ = _cohorts(rng)
+        retest = CohortManifest(subjects=_records(rng, ["zz"], SITES[3]), sites=SITES)
+        assert _methods(evaluate_cohorts(pred, target, retest)) == ["harmonized", "lower_bound"]
+
+    def test_no_shared_subject(self, rng):
+        _, target, retest = _cohorts(rng)
+        pred = CohortManifest(subjects=_records(rng, ["x1", "x2"], SITES[3]), sites=SITES)
+        with pytest.raises(ValidationError, match="no shared subjects"):
+            evaluate_cohorts(pred, target, retest)

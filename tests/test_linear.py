@@ -5,7 +5,13 @@ from hypothesis import strategies as st
 
 from scharm import EdgeVector
 from scharm.core import SiteDescriptor, edge_count, substream, table1_sites
-from scharm.errors import DimensionMismatch, RankDeficientDesign, TooFewObservations
+from scharm.errors import (
+    DimensionMismatch,
+    ParseError,
+    RankDeficientDesign,
+    TooFewObservations,
+    ValidationError,
+)
 from scharm.linear import (
     LinearEdgeModel,
     coefficient_standard_errors,
@@ -150,3 +156,50 @@ class TestCsv:
         # repr-based serialization keeps every float bit-exact
         assert np.array_equal(loaded.coefficients, model.coefficients)
         assert np.array_equal(loaded.residual_variance, model.residual_variance)
+
+
+def _csv_lines(n=4) -> list[str]:
+    """A valid model file for n nodes (D = 6 at n = 4), split into lines."""
+    d = edge_count(n)
+    coeff = np.arange(d * 4, dtype=float).reshape(d, 4) / 8
+    return model_to_csv(LinearEdgeModel(n, coeff, np.full(d, 0.5))).splitlines()
+
+
+def _replace(i, line):
+    return lambda lines: lines[:i] + [line] + lines[i + 1:]
+
+
+@pytest.mark.parametrize("edit", [
+    _replace(0, "edge,b0,b1,b2,b3,var"),                       # wrong header
+    lambda lines: lines[1:],                                   # no header
+    _replace(2, "1,0.5,0.5,0.5,0.5"),                          # short row
+    _replace(2, "1,0.5,0.5,0.5,0.5,0.5,0.5"),                  # long row
+    _replace(2, "1,0.5,x,0.5,0.5,0.5"),                        # not a number
+    _replace(2, "one,0.5,0.5,0.5,0.5,0.5"),                    # index not an integer
+    _replace(2, "1.0,0.5,0.5,0.5,0.5,0.5"),                    # index not an integer
+    _replace(2, "1,0.5,nan,0.5,0.5,0.5"),                      # non-finite coefficient
+    _replace(2, "1,0.5,0.5,0.5,0.5,inf"),                      # non-finite residual variance
+    _replace(6, "6,0.5,0.5,0.5,0.5,0.5"),                      # index D, outside 0..D-1
+    _replace(6, "-1,0.5,0.5,0.5,0.5,0.5"),                     # negative index
+    _replace(6, "4,0.5,0.5,0.5,0.5,0.5"),                      # repeated index, edge 5 missing
+    lambda lines: lines[:-1],                                  # last edge missing
+    lambda lines: lines + ["6,0.5,0.5,0.5,0.5,0.5"],           # one edge too many
+    lambda lines: [],                                          # empty file
+], ids=["header", "no-header", "short-row", "long-row", "non-number", "word-index",
+        "float-index", "nan", "inf", "index-D", "index-minus-1", "repeated", "missing",
+        "extra", "empty"])
+def test_malformed_model_csv_is_parse_error(edit):
+    with pytest.raises(ParseError):
+        model_from_csv("\n".join(edit(_csv_lines())) + "\n", n_nodes=4)
+
+
+def test_model_csv_rows_in_any_order_and_blank_lines():
+    lines = _csv_lines()
+    text = "\n".join([lines[0], ""] + lines[:0:-1]) + "\n"
+    assert np.array_equal(model_from_csv(text, 4).coefficients,
+                          model_from_csv("\n".join(lines), 4).coefficients)
+
+
+def test_non_finite_coefficients_are_validation_error():
+    with pytest.raises(ValidationError):
+        LinearEdgeModel(4, np.full((6, 4), np.nan), np.zeros(6))

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
-from scharm.autodiff import Tensor, zero_grads
-from scharm.errors import ShapeMismatch
+from scharm.augment import augment_site
+from scharm.autodiff import Tensor, adain, grad_reversal, sigmoid_bce, weighted_mae_loss, zero_grads
+from scharm.errors import ShapeMismatch, ValidationError
+from scharm.linear import LinearEdgeModel
 from scharm.metrics import normalized_laplacian
 from scharm.nn import (
     MLP,
@@ -181,3 +183,22 @@ class TestAdaInConditioner:
         a = cond(f_e, Tensor(np.zeros((1, 4)))).data
         b = cond(f_e, Tensor(np.ones((1, 4)))).data
         assert not np.allclose(a, b)
+
+
+@pytest.mark.parametrize("call", [
+    lambda rng: augment_site([random_connectome(rng, 5)] * 2, count=0, seed=0),
+    lambda rng: LinearEdgeModel(3, np.full((3, 4), np.inf), np.zeros(3)),
+    lambda rng: grad_reversal(Tensor(np.zeros(2)), lam=-1.0),
+    lambda rng: adain(Tensor(np.zeros((1, 3, 2))), Tensor(np.ones((1, 2))), Tensor(np.zeros((1, 2))),
+                      eps=0.0),
+    lambda rng: weighted_mae_loss(Tensor(np.zeros(3)), np.zeros(3), edge_weight=0.5),
+    lambda rng: sigmoid_bce(Tensor(np.zeros(2)), np.array([0.5, 1.0])),
+    lambda rng: Dense(rng, 2, 2, norm="spectral"),
+    lambda rng: Dense(rng, 2, 2, act="gelu"),
+    lambda rng: ChebConv(rng, 2, 3, order=1, norm="batch"),
+], ids=["augment_site", "LinearEdgeModel", "grad_reversal", "adain", "weighted_mae_loss",
+        "sigmoid_bce", "Dense-norm", "Dense-act", "ChebConv"])
+def test_argument_errors_are_validation_errors(call, rng):
+    # a ValidationError is also a ValueError, and the CLI maps it to exit 1
+    with pytest.raises(ValidationError):
+        call(rng)
