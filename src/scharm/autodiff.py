@@ -4,6 +4,12 @@ A Tensor wraps a numpy array and records the backward closure of the op that
 produced it; backward() walks the graph in reverse topological order, summing
 gradients at fan-out points. Only the primitives the harmonization models
 need are implemented.
+
+Gradient arrays are shared, not owned: an op may hand one array, or views of
+it, to several tensors (`__add__` gives the same array to both operands), and
+a tensor's first gradient is stored as it arrives. So a `.grad` array must
+never be modified in place; accumulation assigns a new array instead.
+`backward(grad)` copies its argument, so no `.grad` aliases a caller's array.
 """
 
 from __future__ import annotations
@@ -65,7 +71,7 @@ class Tensor:
                 topo.append(t)
         for t in topo:
             t.grad = None
-        self.grad = np.asarray(grad, dtype=np.float64)
+        self.grad = np.array(grad, dtype=np.float64)
         for t in reversed(topo):
             if t._backward is not None:
                 t._backward(t.grad)
@@ -73,9 +79,7 @@ class Tensor:
     def _accumulate(self, grad):
         if not self.requires_grad:
             return
-        if self.grad is None:
-            self.grad = np.zeros_like(self.data)
-        self.grad += grad
+        self.grad = grad if self.grad is None else self.grad + grad
 
     # -- primitives ---------------------------------------------------------
 
@@ -112,8 +116,10 @@ class Tensor:
         out = Tensor(self.data * other.data, _children=(self, other))
 
         def backward(g):
-            self._accumulate(_unbroadcast(g * other.data, self.data.shape))
-            other._accumulate(_unbroadcast(g * self.data, other.data.shape))
+            if self.requires_grad:
+                self._accumulate(_unbroadcast(g * other.data, self.data.shape))
+            if other.requires_grad:
+                other._accumulate(_unbroadcast(g * self.data, other.data.shape))
 
         out._backward = backward
         return out
@@ -139,8 +145,10 @@ class Tensor:
             a, b = self.data, other.data
             if a.ndim == 1 or b.ndim == 1:
                 raise ShapeMismatch("matmul backward requires rank >= 2 operands")
-            self._accumulate(_unbroadcast(np.matmul(g, np.swapaxes(b, -1, -2)), a.shape))
-            other._accumulate(_unbroadcast(np.matmul(np.swapaxes(a, -1, -2), g), b.shape))
+            if self.requires_grad:
+                self._accumulate(_unbroadcast(np.matmul(g, np.swapaxes(b, -1, -2)), a.shape))
+            if other.requires_grad:
+                other._accumulate(_unbroadcast(np.matmul(np.swapaxes(a, -1, -2), g), b.shape))
 
         out._backward = backward
         return out
@@ -221,10 +229,17 @@ class Tensor:
 
     def __getitem__(self, idx):
         out = Tensor(self.data[idx], _children=(self,))
+        # an int/slice index selects each element at most once, so a plain
+        # scatter-add is exact; any other index may repeat and needs np.add.at
+        basic = all(isinstance(i, (int, np.integer, slice)) and not isinstance(i, bool)
+                    for i in (idx if isinstance(idx, tuple) else (idx,)))
 
         def backward(g):
             full = np.zeros_like(self.data)
-            np.add.at(full, idx, g)
+            if basic:
+                full[idx] += g
+            else:
+                np.add.at(full, idx, g)
             self._accumulate(full)
 
         out._backward = backward
@@ -364,27 +379,38 @@ class AdamState:
         self.params = list(params)
         self.m = [np.zeros_like(p.data) for p in self.params]
         self.v = [np.zeros_like(p.data) for p in self.params]
+        self.scratch = [(np.empty_like(p.data), np.empty_like(p.data)) for p in self.params]
         self.beta1, self.beta2, self.eps = beta1, beta2, eps
         self.step = 0
 
 
 def adam_step(state: AdamState, lr: float) -> None:
-    """One bias-corrected Adam update in place; missing gradients are zero."""
+    """One bias-corrected Adam update in place; missing gradients are zero.
+
+    Allocation-free: every step writes into the state's two scratch arrays per
+    parameter, in the operation order of
+        m = m*b1 + (1-b1)*g
+        v = v*b2 + ((1-b2)*g)*g
+        p = p - (lr*(m/bc1)) / (sqrt(v/bc2) + eps)
+    so the bytes match that expression exactly.
+    """
     state.step += 1
     b1, b2 = state.beta1, state.beta2
     bc1 = 1.0 - b1**state.step
     bc2 = 1.0 - b2**state.step
-    for p, m, v in zip(state.params, state.m, state.v):
+    for p, m, v, (s, t) in zip(state.params, state.m, state.v, state.scratch):
         g = p.grad
         if g is None:
             continue
         if g.shape != p.data.shape:
             raise ShapeMismatch(f"gradient shape {g.shape} != parameter shape {p.data.shape}")
         m *= b1
-        m += (1.0 - b1) * g
+        m += np.multiply(1.0 - b1, g, out=s)
         v *= b2
-        v += (1.0 - b2) * g * g
-        p.data -= lr * (m / bc1) / (np.sqrt(v / bc2) + state.eps)
+        v += np.multiply(np.multiply(1.0 - b2, g, out=s), g, out=s)
+        np.multiply(lr, np.divide(m, bc1, out=s), out=s)
+        np.add(np.sqrt(np.divide(v, bc2, out=t), out=t), state.eps, out=t)
+        p.data -= np.divide(s, t, out=s)
 
 
 def zero_grads(params: list[Tensor]) -> None:

@@ -4,7 +4,8 @@ Everything here is written for clarity over speed and deliberately avoids
 the library's own code paths: shortest paths come from exhaustive simple-path
 enumeration, triangles from explicit triple loops, and eigenvalues from
 characteristic-polynomial roots (Faddeev-LeVerrier coefficients + np.roots).
-Only usable for tiny graphs (n <= ~7).
+The graph oracles are only usable for tiny graphs (n <= ~7). The Adam oracle
+is the update written as one expression per moment, with no scratch arrays.
 """
 
 import itertools
@@ -120,3 +121,14 @@ def bf_eigenvalues(a: np.ndarray) -> np.ndarray:
     """Ascending eigenvalues as characteristic-polynomial roots."""
     roots = np.roots(charpoly_coefficients(np.asarray(a, dtype=float)))
     return np.sort(roots.real)
+
+
+def bf_adam_step(p, g, m, v, step, lr, beta1=0.9, beta2=0.999, eps=1e-8):
+    """One bias-corrected Adam update (Kingma & Ba 2015) as plain array
+    expressions; returns new (p, m, v) and leaves its inputs untouched."""
+    m = m * beta1 + (1.0 - beta1) * g
+    v = v * beta2 + ((1.0 - beta2) * g) * g
+    bc1 = 1.0 - beta1**step
+    bc2 = 1.0 - beta2**step
+    p = p - (lr * (m / bc1)) / (np.sqrt(v / bc2) + eps)
+    return p, m, v

@@ -266,6 +266,7 @@ def test_criterion_08_adain_statistics():
     assert np.abs(out.std(axis=1) - np.abs(scale.data)).max() <= 1e-9
 
 
+@pytest.mark.slow
 def test_criterion_09_deep_end_to_end():
     t0 = time.monotonic()
     cohort, _ = default_cohort(seed=7)

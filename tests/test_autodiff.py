@@ -21,19 +21,26 @@ from scharm.autodiff import (
 from scharm.errors import ShapeMismatch, SpectrumOutOfRange
 from scharm.metrics import normalized_laplacian
 from conftest import random_connectome
+from _oracles import bf_adam_step
 
 H = 1e-5
 RTOL = 1e-4
 
 
-def finite_diff_check(fn, inputs, rtol=RTOL, h=H):
+def finite_diff_check(fn, inputs, rtol=RTOL, h=H, requires_grad=None):
     """Compare reverse-mode gradients of scalar fn(*inputs) against central
-    finite differences on every input element."""
-    tensors = [Tensor(np.array(x, dtype=np.float64), requires_grad=True) for x in inputs]
+    finite differences on every input element. Inputs whose `requires_grad`
+    flag is False are constants: they must get no gradient at all."""
+    requires_grad = requires_grad or [True] * len(inputs)
+    tensors = [Tensor(np.array(x, dtype=np.float64), requires_grad=r)
+               for x, r in zip(inputs, requires_grad)]
     out = fn(*tensors)
     assert out.data.size == 1
     out.backward()
     for t in tensors:
+        if not t.requires_grad:
+            assert t.grad is None
+            continue
         grad = t.grad if t.grad is not None else np.zeros_like(t.data)
         num = np.zeros_like(t.data)
         flat = t.data.reshape(-1)
@@ -120,6 +127,73 @@ class TestElementwiseGradients:
         finite_diff_check(lambda x: x[1].sum(), [a])
         b = rng.standard_normal((3, 2))
         finite_diff_check(lambda x, y: concat([x.reshape(2, 12), y.reshape(2, 3)], axis=1).pow(2.0).sum(), [a, b])
+
+    @pytest.mark.parametrize("requires", [(True, True), (True, False), (False, True), (False, False)])
+    @pytest.mark.parametrize("shapes", [((4, 3), (3, 5)), ((2, 3, 4), (2, 4, 2)),
+                                        ((2, 3, 4), (4, 5)), ((3, 4), (2, 4, 2))])
+    def test_matmul_constant_operands(self, requires, shapes):
+        rng = np.random.default_rng(70)
+        a, b = (rng.standard_normal(s) for s in shapes)
+        finite_diff_check(lambda x, y: (x @ y).pow(2.0).sum(), [a, b], requires_grad=list(requires))
+
+    @pytest.mark.parametrize("requires", [(True, True), (True, False), (False, True), (False, False)])
+    @pytest.mark.parametrize("shapes", [((3, 4), (3, 4)), ((3, 4), (4,)), ((3, 1), (1, 4)),
+                                        ((), (2, 3))])
+    def test_mul_constant_operands(self, requires, shapes):
+        rng = np.random.default_rng(71)
+        a, b = (rng.standard_normal(s) for s in shapes)
+        finite_diff_check(lambda x, y: (x * y).pow(2.0).sum(), [a, b], requires_grad=list(requires))
+
+    @pytest.mark.parametrize(
+        "idx", [1, -1, np.int64(2), slice(1, 3), slice(None, None, 2), (1, slice(0, 2)), (slice(1, None), 0)]
+    )
+    def test_getitem_basic_index(self, idx):
+        rng = np.random.default_rng(72)
+        a = rng.standard_normal((4, 3))
+        finite_diff_check(lambda x: x[idx].pow(2.0).sum(), [a])
+
+    def test_getitem_repeated_fancy_index_sums(self):
+        t = Tensor(np.array([1.0, 2.0, 3.0]), requires_grad=True)
+        t[[0, 0, 2]].sum().backward()
+        assert np.array_equal(t.grad, [2.0, 0.0, 1.0])
+        rng = np.random.default_rng(73)
+        finite_diff_check(lambda x: x[[0, 0, 2]].pow(2.0).sum(), [rng.standard_normal(3)])
+        finite_diff_check(lambda x: x[[1, 1], 0:2].pow(2.0).sum(), [rng.standard_normal((3, 4))])
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_shared_gradient_arrays_are_never_modified(self, seed):
+        # __add__, reshape and transpose hand one gradient array (or views of
+        # it) to several tensors; a later contribution must not change it
+        rng = np.random.default_rng(80 + seed)
+        a, b = rng.standard_normal((3, 4)), rng.standard_normal((3, 4))
+        finite_diff_check(lambda x: (x + x).pow(2.0).sum(), [a])
+        finite_diff_check(lambda x, y: (x + y).pow(2.0).sum(), [a, b])
+        finite_diff_check(lambda x, y: ((x + y) * x).sum(), [a, b])
+        finite_diff_check(lambda x, y: (x.exp() + (x + y)).pow(2.0).sum(), [a, b])
+        finite_diff_check(lambda x: (x.reshape(4, 3) * x.transpose(1, 0) + x.transpose(1, 0)).pow(2.0).sum(), [a])
+        finite_diff_check(lambda x: (x.reshape(12) + x.reshape(2, 6).reshape(12) * 3.0).pow(2.0).sum(), [a])
+
+    def test_second_backward_on_fresh_graph_matches(self, rng):
+        a, b = rng.standard_normal((3, 4)), rng.standard_normal((4, 2))
+
+        def grads():
+            x, y = Tensor(a, requires_grad=True), Tensor(b, requires_grad=True)
+            s = x @ y
+            ((s + s) * s.exp() + x.sum(axis=1, keepdims=True)).mean().backward()
+            return x.grad, y.grad
+
+        first, second = grads(), grads()
+        for g1, g2 in zip(first, second):
+            assert g1.tobytes() == g2.tobytes()
+
+    def test_backward_copies_the_root_gradient(self, rng):
+        x = Tensor(rng.standard_normal(3), requires_grad=True)
+        y = x + Tensor(np.ones(3))
+        root = np.array([1.0, 2.0, 3.0])
+        y.backward(root)
+        seen = [x.grad.copy(), y.grad.copy()]
+        root[:] = 99.0
+        assert np.array_equal(x.grad, seen[0]) and np.array_equal(y.grad, seen[1])
 
     @pytest.mark.parametrize("seed", range(3))
     def test_max_without_ties(self, seed):
@@ -352,6 +426,30 @@ class TestChebConv:
         with pytest.raises(SpectrumOutOfRange):
             chebconv(Tensor(np.zeros((1, 3, 2))), bad, Tensor(np.zeros((2, 2, 2))))
 
+    def test_constant_laplacian_gets_no_gradient_product(self, rng, monkeypatch):
+        b, n, d_in, d_out, order = 2, 5, 3, 2, 2
+        lap = np.stack([_rescaled_laplacian(rng, n) for _ in range(b)])
+        products = []
+        real_matmul = np.matmul
+
+        def counting_matmul(x, y, *args, **kwargs):
+            out = real_matmul(x, y, *args, **kwargs)
+            products.append(out.shape)
+            return out
+
+        monkeypatch.setattr(np, "matmul", counting_matmul)
+        for x_requires, backward_products in ((True, 2 * (order + 1) + order), (False, order + 1)):
+            x = Tensor(rng.standard_normal((b, n, d_in)), requires_grad=x_requires)
+            theta = Tensor(rng.standard_normal((order + 1, d_in, d_out)), requires_grad=True)
+            products.clear()
+            z = chebconv(x, lap, theta)
+            assert len(products) == (order + 1) + order
+            products.clear()
+            z.pow(2.0).sum().backward()
+            # a (B, N, N) product in backward could only be dL/dL~, which is discarded
+            assert (b, n, n) not in products
+            assert len(products) == backward_products
+
     def test_shape_validation(self):
         with pytest.raises(ShapeMismatch):
             chebconv(Tensor(np.zeros((1, 3, 2))), np.zeros((3, 3)), Tensor(np.zeros((2, 4, 2))))
@@ -390,3 +488,29 @@ class TestAdam:
         p.grad = np.ones((3, 1))
         with pytest.raises(ShapeMismatch):
             adam_step(AdamState([p]), lr=0.1)
+
+    @pytest.mark.parametrize("lr", [1e-3, 0.1])
+    def test_bytes_match_one_expression_oracle(self, lr):
+        rng = np.random.default_rng(90)
+        params = [Tensor(rng.standard_normal(s), requires_grad=True) for s in [(), (5,), (3, 4), (2, 3, 4)]]
+        idle = Tensor(rng.standard_normal(4), requires_grad=True)  # its .grad stays None
+        idle_before = idle.data.copy()
+        state = AdamState(params + [idle])
+        ref = [(p.data.copy(), np.zeros_like(p.data), np.zeros_like(p.data)) for p in params]
+        specials = np.array([0.0, -0.0, 1e-300, 1e300, -1e-300, -1e300])
+        for step in range(1, 25):
+            for i, p in enumerate(params):
+                g = np.array(rng.standard_normal(p.data.shape) * 10.0 ** rng.integers(-3, 3))
+                k = (step + i) % len(specials)
+                g.reshape(-1)[:2] = specials[[k, (k + 1) % len(specials)]][: min(g.size, 2)]
+                p.grad = g
+                with np.errstate(over="ignore"):  # 1e300**2 overflows v to inf in both
+                    ref[i] = bf_adam_step(ref[i][0], g, ref[i][1], ref[i][2], step=step, lr=lr)
+            with np.errstate(over="ignore"):
+                adam_step(state, lr=lr)
+            for p, m, v, (rp, rm, rv) in zip(params, state.m, state.v, ref):
+                assert p.data.tobytes() == rp.tobytes()
+                assert m.tobytes() == rm.tobytes()
+                assert v.tobytes() == rv.tobytes()
+        assert idle.data.tobytes() == idle_before.tobytes()
+        assert not state.m[-1].any() and not state.v[-1].any()
