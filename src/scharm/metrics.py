@@ -4,8 +4,11 @@ Metric conventions follow the weighted brain-connectivity-toolbox lineage:
 edge lengths for path-based metrics are reciprocal weights, the clustering
 coefficient is the Onnela geometric-mean form with weights normalized by the
 network maximum, and local efficiency is computed on neighborhood-induced
-subgraphs. Shortest paths come from a dense Floyd-Warshall over those lengths.
-Spectra come from a symmetric eigendecomposition (LAPACK eigh).
+subgraphs. All-pairs shortest paths come from a dense Floyd-Warshall over
+those lengths (scipy). Local efficiency shares one Floyd-Warshall relaxation
+tree across all nodes instead of running one Floyd-Warshall per neighborhood
+(see `local_efficiency`). Spectra come from a symmetric eigendecomposition
+(LAPACK eigh).
 """
 
 from __future__ import annotations
@@ -38,15 +41,11 @@ def nodal_strength(m: ConnectivityMatrix) -> NodalProfile:
     return NodalProfile("NS", m.values.sum(axis=1).astype(np.float64))
 
 
-def _distances(weights: np.ndarray) -> np.ndarray:
-    """All-pairs shortest paths on edge lengths 1/weight; zero weights are no edge."""
-    lengths = np.divide(1.0, weights, out=np.zeros_like(weights), where=weights > 0)
-    return floyd_warshall(lengths, directed=False)
-
-
 def shortest_path_distances(m: ConnectivityMatrix) -> np.ndarray:
     """All-pairs shortest paths on edge lengths 1/weight; unreachable pairs are +inf."""
-    return _distances(m.values.astype(np.float64))
+    w = m.values.astype(np.float64)
+    lengths = np.divide(1.0, w, out=np.zeros_like(w), where=w > 0)  # zero weight: no edge
+    return floyd_warshall(lengths, directed=False)
 
 
 def closeness_centrality(m: ConnectivityMatrix) -> NodalProfile:
@@ -84,6 +83,19 @@ def local_efficiency(m: ConnectivityMatrix) -> NodalProfile:
     (w'_ij * w'_ih / d'_jh(G_i))^(1/3), with w' = w / max(w), path lengths
     1/w' inside the subgraph induced by the neighbors of i, and unreachable
     pairs contributing zero.
+
+    All nodes share one Floyd-Warshall relaxation tree. After relaxing the
+    full length matrix through any set S of vertices, d[j, h] is the shortest
+    j-h path whose intermediates lie in S; with S = N(i), the N(i) x N(i)
+    block is exactly the distance matrix of the subgraph induced by N(i). A
+    segment tree over node indices hands each vertex k down from the root:
+    at a tree node covering leaves [lo, hi), k is relaxed when it neighbors
+    all of them, dropped when it neighbors none, and passed on otherwise (the
+    left child gets a copy of the matrix, the right child keeps it). So leaf
+    i has been relaxed through N(i) and nothing else. Dense graphs cost
+    O(N^3 log N); the worst case is O(N^4), the cost of one Floyd-Warshall
+    per neighborhood. The relaxation order differs from a per-neighborhood
+    Floyd-Warshall, so values may differ from it by a few ulp.
     """
     w = m.values.astype(np.float64)
     n = m.n
@@ -92,15 +104,32 @@ def local_efficiency(m: ConnectivityMatrix) -> NodalProfile:
     if wmax == 0:
         return NodalProfile("LE", values)
     wn = w / wmax
-    for i in range(n):
-        nbrs = np.flatnonzero(wn[i] > 0)
+    adj = wn > 0  # symmetric, with a zero diagonal: no vertex neighbors itself
+    dist = np.divide(1.0, wn, out=np.full_like(wn, np.inf), where=adj)
+    np.fill_diagonal(dist, 0.0)
+
+    def descend(d: np.ndarray, lo: int, hi: int, pending: np.ndarray) -> None:
+        near = adj[lo:hi, pending]
+        every = near.all(axis=0)
+        for k in pending[every]:
+            # row and column k stay fixed (d[k, k] = 0), so relaxing in place is exact
+            np.minimum(d, d[:, k, None] + d[k], out=d)
+        if hi - lo > 1:
+            rest = pending[near.any(axis=0) & ~every]
+            mid = (lo + hi) // 2
+            descend(d.copy(), lo, mid, rest)
+            descend(d, mid, hi, rest)
+            return
+        nbrs = np.flatnonzero(adj[lo])
         k = nbrs.size
         if k < 2:
-            continue
-        dist = _distances(wn[np.ix_(nbrs, nbrs)])
-        np.fill_diagonal(dist, np.inf)  # self pairs, like unreachable ones, add cbrt(0)
-        wi = wn[i, nbrs]
-        values[i] = np.cbrt(np.outer(wi, wi) / dist).sum() / (k * (k - 1))
+            return
+        sub = d[np.ix_(nbrs, nbrs)]
+        np.fill_diagonal(sub, np.inf)  # self pairs, like unreachable ones, add cbrt(0)
+        wi = wn[lo, nbrs]
+        values[lo] = np.cbrt(np.outer(wi, wi) / sub).sum() / (k * (k - 1))
+
+    descend(dist, 0, n, np.arange(n))
     return NodalProfile("LE", values)
 
 

@@ -19,6 +19,7 @@ from scharm.evaluation import (
     topology_metrics,
 )
 from conftest import random_connectome
+from _oracles import loop_fingerprint_accuracy
 
 
 def _pair(rng, n=8, count=4):
@@ -96,6 +97,27 @@ class TestFingerprinting:
     def test_fa_chance(self):
         p = np.array([[3.0, 0.0], [0.0, 3.0]])
         assert fingerprint_accuracy(p) == 0.0
+
+    @pytest.mark.parametrize("value", [2.0, np.inf, np.nan])
+    def test_fa_single_subject_is_a_hit(self, value):
+        # no other subject to confuse it with
+        assert fingerprint_accuracy(np.array([[value]])) == 1.0
+
+    def test_fa_row_with_nan_misses(self):
+        p = np.array([[np.nan, 2.0, 3.0], [np.nan, 0.0, 1.0], [4.0, 5.0, 1.0]])
+        # row 0: NaN diagonal; row 1: NaN off-diagonal; row 2: a clean hit
+        assert fingerprint_accuracy(p) == 1 / 3
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_fa_matches_row_loop(self, seed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(1, 9))
+        p = rng.integers(0, 4, size=(n, n)).astype(float)  # small range: many ties
+        p[rng.random((n, n)) < 0.1] = np.nan
+        p[rng.random((n, n)) < 0.1] = np.inf
+        assert fingerprint_accuracy(p) == loop_fingerprint_accuracy(p)
+        ints = rng.integers(0, 3, size=(n, n))
+        assert fingerprint_accuracy(ints) == loop_fingerprint_accuracy(ints)
 
     def test_id_hand_example(self):
         p = np.array([[1.0, 3.0], [3.0, 1.0]])
