@@ -372,14 +372,17 @@ def sigmoid_bce(logits: Tensor, targets: np.ndarray) -> Tensor:
     return (logits.relu() - logits * Tensor(targets) + softplus).mean()
 
 
+_ADAM_BLOCK = 32768  # elements: one block of p, g, m, v and both scratch arrays is 1.5 MB, within L2
+
+
 class AdamState:
     """First/second moments and step counter for a fixed parameter list."""
 
     def __init__(self, params: list[Tensor], beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
         self.params = list(params)
-        self.m = [np.zeros_like(p.data) for p in self.params]
-        self.v = [np.zeros_like(p.data) for p in self.params]
-        self.scratch = [(np.empty_like(p.data), np.empty_like(p.data)) for p in self.params]
+        self.m = [np.zeros(p.data.shape) for p in self.params]
+        self.v = [np.zeros(p.data.shape) for p in self.params]
+        self.scratch = (np.empty(_ADAM_BLOCK), np.empty(_ADAM_BLOCK))
         self.beta1, self.beta2, self.eps = beta1, beta2, eps
         self.step = 0
 
@@ -387,8 +390,9 @@ class AdamState:
 def adam_step(state: AdamState, lr: float) -> None:
     """One bias-corrected Adam update in place; missing gradients are zero.
 
-    Allocation-free: every step writes into the state's two scratch arrays per
-    parameter, in the operation order of
+    Allocation-free: each parameter is walked in blocks of `_ADAM_BLOCK`
+    elements through the state's two block-sized scratch arrays, in the
+    operation order of
         m = m*b1 + (1-b1)*g
         v = v*b2 + ((1-b2)*g)*g
         p = p - (lr*(m/bc1)) / (sqrt(v/bc2) + eps)
@@ -398,19 +402,27 @@ def adam_step(state: AdamState, lr: float) -> None:
     b1, b2 = state.beta1, state.beta2
     bc1 = 1.0 - b1**state.step
     bc2 = 1.0 - b2**state.step
-    for p, m, v, (s, t) in zip(state.params, state.m, state.v, state.scratch):
+    for p, m, v in zip(state.params, state.m, state.v):
         g = p.grad
         if g is None:
             continue
         if g.shape != p.data.shape:
             raise ShapeMismatch(f"gradient shape {g.shape} != parameter shape {p.data.shape}")
-        m *= b1
-        m += np.multiply(1.0 - b1, g, out=s)
-        v *= b2
-        v += np.multiply(np.multiply(1.0 - b2, g, out=s), g, out=s)
-        np.multiply(lr, np.divide(m, bc1, out=s), out=s)
-        np.add(np.sqrt(np.divide(v, bc2, out=t), out=t), state.eps, out=t)
-        p.data -= np.divide(s, t, out=s)
+        flat = p.data.reshape(-1)  # a copy when p.data is not C-contiguous; written back below
+        g, m, v = g.reshape(-1), m.reshape(-1), v.reshape(-1)
+        for lo in range(0, flat.size, _ADAM_BLOCK):
+            hi = lo + _ADAM_BLOCK
+            pb, gb, mb, vb = flat[lo:hi], g[lo:hi], m[lo:hi], v[lo:hi]
+            s, t = (a[: pb.size] for a in state.scratch)
+            mb *= b1
+            mb += np.multiply(1.0 - b1, gb, out=s)
+            vb *= b2
+            vb += np.multiply(np.multiply(1.0 - b2, gb, out=s), gb, out=s)
+            np.multiply(lr, np.divide(mb, bc1, out=s), out=s)
+            np.add(np.sqrt(np.divide(vb, bc2, out=t), out=t), state.eps, out=t)
+            pb -= np.divide(s, t, out=s)
+        if not p.data.flags.c_contiguous:
+            p.data[...] = flat.reshape(p.data.shape)
 
 
 def zero_grads(params: list[Tensor]) -> None:

@@ -4,11 +4,12 @@ Metric conventions follow the weighted brain-connectivity-toolbox lineage:
 edge lengths for path-based metrics are reciprocal weights, the clustering
 coefficient is the Onnela geometric-mean form with weights normalized by the
 network maximum, and local efficiency is computed on neighborhood-induced
-subgraphs. All-pairs shortest paths come from a dense Floyd-Warshall over
-those lengths (scipy). Local efficiency shares one Floyd-Warshall relaxation
-tree across all nodes instead of running one Floyd-Warshall per neighborhood
-(see `local_efficiency`). Spectra come from a symmetric eigendecomposition
-(LAPACK eigh).
+subgraphs. All-pairs shortest paths and local efficiency share one
+Floyd-Warshall relaxation step, `_relax`: all-pairs paths relax the length
+matrix through every vertex in turn, and local efficiency shares one
+relaxation tree across all nodes instead of running one Floyd-Warshall per
+neighborhood (see `local_efficiency`). Spectra come from a symmetric
+eigendecomposition (LAPACK eigh).
 """
 
 from __future__ import annotations
@@ -16,7 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse.csgraph import floyd_warshall
 
 from .core import ConnectivityMatrix
 from .errors import NotSymmetric
@@ -41,11 +41,24 @@ def nodal_strength(m: ConnectivityMatrix) -> NodalProfile:
     return NodalProfile("NS", m.values.sum(axis=1).astype(np.float64))
 
 
+def _relax(d: np.ndarray, vertices) -> None:
+    """Floyd-Warshall relaxation of the length matrix d through each vertex in
+    turn, in place: d[i, j] = min(d[i, j], d[i, k] + d[k, j]).
+
+    d needs a zero diagonal, so row and column k cannot change while k is
+    relaxed and updating in place is exact.
+    """
+    for k in vertices:
+        np.minimum(d, d[:, k, None] + d[k], out=d)
+
+
 def shortest_path_distances(m: ConnectivityMatrix) -> np.ndarray:
     """All-pairs shortest paths on edge lengths 1/weight; unreachable pairs are +inf."""
     w = m.values.astype(np.float64)
-    lengths = np.divide(1.0, w, out=np.zeros_like(w), where=w > 0)  # zero weight: no edge
-    return floyd_warshall(lengths, directed=False)
+    d = np.divide(1.0, w, out=np.full_like(w, np.inf), where=w > 0)  # zero weight: no edge
+    np.fill_diagonal(d, 0.0)
+    _relax(d, range(m.n))
+    return d
 
 
 def closeness_centrality(m: ConnectivityMatrix) -> NodalProfile:
@@ -111,9 +124,7 @@ def local_efficiency(m: ConnectivityMatrix) -> NodalProfile:
     def descend(d: np.ndarray, lo: int, hi: int, pending: np.ndarray) -> None:
         near = adj[lo:hi, pending]
         every = near.all(axis=0)
-        for k in pending[every]:
-            # row and column k stay fixed (d[k, k] = 0), so relaxing in place is exact
-            np.minimum(d, d[:, k, None] + d[k], out=d)
+        _relax(d, pending[every])
         if hi - lo > 1:
             rest = pending[near.any(axis=0) & ~every]
             mid = (lo + hi) // 2

@@ -5,8 +5,9 @@ the library's own code paths: shortest paths come from exhaustive simple-path
 enumeration, triangles from explicit triple loops, and eigenvalues from
 characteristic-polynomial roots (Faddeev-LeVerrier coefficients + np.roots).
 The graph oracles are only usable for tiny graphs (n <= ~7). For larger
-graphs, `pernode_local_efficiency` is the straightforward per-neighborhood
-form: one scipy Floyd-Warshall per node on its neighborhood subgraph. The
+graphs, `fw_shortest_paths` is scipy's Floyd-Warshall and
+`pernode_local_efficiency` is the straightforward per-neighborhood form: one
+such Floyd-Warshall per node on its neighborhood subgraph. The
 Adam oracle is the update written as one expression per moment, with no
 scratch arrays, and the fingerprinting oracle scores one row at a time.
 """
@@ -43,6 +44,15 @@ def bf_shortest_paths(w: np.ndarray) -> np.ndarray:
                         best = min(best, total)
             dist[i, j] = best
     return dist
+
+
+def fw_shortest_paths(w: np.ndarray) -> np.ndarray:
+    """All-pairs shortest path lengths with edge length 1/weight, from
+    scipy's dense Floyd-Warshall (a zero length is no edge). Unreachable
+    pairs are +inf."""
+    w = np.asarray(w, dtype=np.float64)
+    lengths = np.divide(1.0, w, out=np.zeros_like(w), where=w > 0)
+    return floyd_warshall(lengths, directed=False)
 
 
 def bf_nodal_strength(w: np.ndarray) -> np.ndarray:
@@ -123,9 +133,7 @@ def pernode_local_efficiency(w: np.ndarray) -> np.ndarray:
         k = nbrs.size
         if k < 2:
             continue
-        sub = wn[np.ix_(nbrs, nbrs)]
-        lengths = np.divide(1.0, sub, out=np.zeros_like(sub), where=sub > 0)
-        dist = floyd_warshall(lengths, directed=False)
+        dist = fw_shortest_paths(wn[np.ix_(nbrs, nbrs)])
         np.fill_diagonal(dist, np.inf)  # self pairs, like unreachable ones, add cbrt(0)
         wi = wn[i, nbrs]
         values[i] = np.cbrt(np.outer(wi, wi) / dist).sum() / (k * (k - 1))

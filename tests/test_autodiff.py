@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from scharm.autodiff import (
+    _ADAM_BLOCK,
     AdamState,
     Tensor,
     adain,
@@ -492,7 +493,11 @@ class TestAdam:
     @pytest.mark.parametrize("lr", [1e-3, 0.1])
     def test_bytes_match_one_expression_oracle(self, lr):
         rng = np.random.default_rng(90)
-        params = [Tensor(rng.standard_normal(s), requires_grad=True) for s in [(), (5,), (3, 4), (2, 3, 4)]]
+        # (2 * block + 123,) spans three blocks, the last one partial; the
+        # transposed parameter is not C-contiguous
+        shapes = [(), (5,), (3, 4), (2, 3, 4), (2 * _ADAM_BLOCK + 123,)]
+        params = [Tensor(rng.standard_normal(s), requires_grad=True) for s in shapes]
+        params.append(Tensor(rng.standard_normal((4, 6)).T, requires_grad=True))
         idle = Tensor(rng.standard_normal(4), requires_grad=True)  # its .grad stays None
         idle_before = idle.data.copy()
         state = AdamState(params + [idle])

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -381,3 +385,12 @@ class TestRejectedBeforeOutput:
                     "--target-manifest", str(cohort_dir / "manifest.json"),
                     "--out", str(tmp_path / "report.csv")]) == 1
         assert not (tmp_path / "report.csv").exists()
+
+
+def test_cli_import_loads_no_scipy():
+    # importing scipy.sparse.csgraph alone costs a cold CLI process about 0.26 s
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = "import scharm.cli, sys; print(any(m == 'scipy' or m.startswith('scipy.') for m in sys.modules))"
+    out = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": str(src)},
+                         capture_output=True, text=True, check=True, timeout=60)
+    assert out.stdout.strip() == "False"

@@ -22,6 +22,7 @@ from _oracles import (
     bf_eigenvalues,
     bf_local_efficiency,
     bf_shortest_paths,
+    fw_shortest_paths,
 )
 
 
@@ -108,6 +109,48 @@ class TestBruteForceOracles:
         pm = ConnectivityMatrix(m.values[np.ix_(perm, perm)])
         for fn in (nodal_strength, closeness_centrality, clustering_coefficient, local_efficiency):
             assert np.allclose(fn(pm).values, fn(m).values[perm], atol=1e-10)
+
+
+class TestFloydWarshallOracle:
+    """All-pairs distances equal scipy's Floyd-Warshall byte for byte: the
+    same vertex order, relaxed in place, gives the same roundings."""
+
+    @staticmethod
+    def _assert_bytes_match(m: ConnectivityMatrix) -> None:
+        got, expected = shortest_path_distances(m), fw_shortest_paths(m.values)
+        assert got.shape == expected.shape
+        assert got.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("seed", range(100))
+    def test_random_graphs(self, seed):
+        rng = np.random.default_rng(3000 + seed)
+        n = int(rng.integers(1, 71))
+        density = float(rng.uniform(0.0, 1.0))
+        # weights up to 300 make many multi-edge paths shorter than the edge
+        max_weight = int(rng.integers(1, 301))
+        self._assert_bytes_match(random_connectome(rng, n, density=density, max_weight=max_weight))
+
+    @pytest.mark.parametrize("density", [0.0, 0.05, 0.5, 1.0])
+    def test_density_extremes(self, density):
+        rng = np.random.default_rng(int(density * 100))
+        self._assert_bytes_match(random_connectome(rng, 70, density=density, max_weight=300))
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_isolated_nodes(self, seed):
+        rng = np.random.default_rng(4000 + seed)
+        w = random_connectome(rng, 30, density=0.7, max_weight=300).values.copy()
+        cut = rng.choice(30, size=int(rng.integers(1, 10)), replace=False)
+        w[cut, :] = 0
+        w[:, cut] = 0
+        self._assert_bytes_match(ConnectivityMatrix(w))
+
+    @pytest.mark.parametrize("n", [1, 2, 5])
+    def test_all_zero(self, n):
+        self._assert_bytes_match(ConnectivityMatrix(np.zeros((n, n), dtype=int)))
+
+    @pytest.mark.parametrize("w01", [1, 7, 300])
+    def test_two_nodes(self, w01):
+        self._assert_bytes_match(ConnectivityMatrix(np.array([[0, w01], [w01, 0]])))
 
 
 class TestNodalProfiles:
