@@ -81,8 +81,8 @@ def augmentation_report(
         raise EmptyInput("both populations must be nonempty")
     if any(m.n != original[0].n for m in original + augmented):
         raise DimensionMismatch("all matrices must share a node count")
-    profiles = {"original": [gm.nodal_profiles(m) for m in original],
-                "augmented": [gm.nodal_profiles(m) for m in augmented]}
+    both = gm.nodal_profiles_many(original + augmented)
+    profiles = {"original": both[:len(original)], "augmented": both[len(original):]}
     report: dict[str, dict[str, dict[str, float]]] = {}
     for name in profiles["original"][0]:
         report[name] = {}

@@ -26,7 +26,7 @@ from .core import (
     vectorize_upper,
 )
 from .deep import ArchitectureConfig, HarmonizerModel, TrainingConfig, export_embeddings, train
-from .errors import IoError, ParseError, ScharmError, ValidationError
+from .errors import EmptyCohort, IoError, ParseError, ScharmError, ValidationError
 from .synthetic import generate_synthetic_cohort, redraw_retest
 
 log = logging.getLogger("scharm")
@@ -207,6 +207,8 @@ def _cmd_harmonize(args) -> int:
                   else lowest_quality_site(manifest.sites).site_index)
     source = manifest.site_by_index(source_idx)
     records = manifest.records(site_index=source_idx)
+    if not records:
+        raise EmptyCohort(f"site {source_idx} has no records to harmonize")
     if args.method == "lr":
         model = linear.model_from_csv(sio.read_text(args.model), manifest.n_nodes)
         harmonized = [

@@ -198,6 +198,8 @@ class CohortManifest:
 
     @property
     def n_nodes(self) -> int:
+        if not self.subjects:
+            raise EmptyCohort("the cohort has no subject records")
         return self.subjects[0].matrix.n
 
     def site_by_index(self, idx: int) -> SiteDescriptor:

@@ -71,15 +71,16 @@ def topology_metrics(pred: list[ConnectivityMatrix], target: list[ConnectivityMa
                      topology: dict | None = None) -> dict[str, tuple[float, float]]:
     """Per-subject mean absolute nodal-score differences (NS, CC, CLC, LE)
     and sorted-eigenvalue MAE (EV), aggregated as (mean, population std).
-    Calls sharing one `topology` dict compute each distinct matrix once."""
+    Calls sharing one `topology` dict compute each distinct matrix once, and
+    one call profiles all the matrices it is missing together."""
     _check_pair(pred, target)
     topology = {} if topology is None else topology
+    missing = list(dict.fromkeys(m for m in pred + target if m not in topology))
+    for m, profile in zip(missing, gm.nodal_profiles_many(missing)):
+        # NS, CC, CLC, LE per node and the ascending eigenvalues
+        topology[m] = {**profile, "EV": gm.symmetric_eigenvalues(m.values.astype(float)).eigenvalues}
     per_subject: dict[str, list[float]] = {name: [] for name in TOPOLOGY_METRICS}
     for p, t in zip(pred, target):
-        for m in (p, t):
-            if m not in topology:  # NS, CC, CLC, LE per node and the ascending eigenvalues
-                ev = gm.symmetric_eigenvalues(m.values.astype(float)).eigenvalues
-                topology[m] = {**gm.nodal_profiles(m), "EV": ev}
         for name in TOPOLOGY_METRICS:
             per_subject[name].append(float(np.abs(topology[p][name] - topology[t][name]).mean()))
     return {name: (float(np.mean(v)), float(np.std(v))) for name, v in per_subject.items()}

@@ -170,6 +170,7 @@ def load_sites(path) -> list[SiteDescriptor]:
 
 def save_cohort(manifest: CohortManifest, out_dir) -> Path:
     """Write all matrices plus a manifest.json index; returns the manifest path."""
+    n_nodes = manifest.n_nodes  # an empty cohort fails here, before any directory exists
     out_dir = Path(out_dir)
     make_dir(out_dir / "matrices")
     latent_dir = out_dir / "latents"
@@ -194,7 +195,7 @@ def save_cohort(manifest: CohortManifest, out_dir) -> Path:
             entry["latent_path"] = lpath
         subjects.append(entry)
     payload = {
-        "n_nodes": manifest.n_nodes,
+        "n_nodes": n_nodes,
         "seed": manifest.seed,
         "sites": [_site_to_dict(s) for s in manifest.sites],
         "subjects": subjects,

@@ -8,8 +8,12 @@ subgraphs. All-pairs shortest paths and local efficiency share one
 Floyd-Warshall relaxation step, `_relax`: all-pairs paths relax the length
 matrix through every vertex in turn, and local efficiency shares one
 relaxation tree across all nodes instead of running one Floyd-Warshall per
-neighborhood (see `local_efficiency`). Spectra come from a symmetric
-eigendecomposition (LAPACK eigh).
+neighborhood (see `local_efficiency`). The tree's schedule depends only on the
+adjacency pattern, so `nodal_profiles_many` walks it once for a stack of
+matrices sharing one pattern, byte for byte what each matrix gets alone: a
+stack gets the same elementwise operations, and each per-leaf sum runs over a
+C-contiguous (M, k, k) array, which adds in the order of a lone (k, k) one.
+Spectra come from a symmetric eigendecomposition (LAPACK eigh).
 """
 
 from __future__ import annotations
@@ -45,11 +49,12 @@ def _relax(d: np.ndarray, vertices) -> None:
     """Floyd-Warshall relaxation of the length matrix d through each vertex in
     turn, in place: d[i, j] = min(d[i, j], d[i, k] + d[k, j]).
 
-    d needs a zero diagonal, so row and column k cannot change while k is
-    relaxed and updating in place is exact.
+    d is one (n, n) matrix or an (M, n, n) stack, each relaxed with the same
+    operations as on its own. d needs a zero diagonal, so row and column k
+    cannot change while k is relaxed and updating in place is exact.
     """
     for k in vertices:
-        np.minimum(d, d[:, k, None] + d[k], out=d)
+        np.minimum(d, d[..., :, k, None] + d[..., k, None, :], out=d)
 
 
 def shortest_path_distances(m: ConnectivityMatrix) -> np.ndarray:
@@ -110,16 +115,26 @@ def local_efficiency(m: ConnectivityMatrix) -> NodalProfile:
     per neighborhood. The relaxation order differs from a per-neighborhood
     Floyd-Warshall, so values may differ from it by a few ulp.
     """
-    w = m.values.astype(np.float64)
-    n = m.n
-    wmax = w.max()
-    values = np.zeros(n)
-    if wmax == 0:
-        return NodalProfile("LE", values)
-    wn = w / wmax
-    adj = wn > 0  # symmetric, with a zero diagonal: no vertex neighbors itself
+    return NodalProfile("LE", _local_efficiency_stack(m.values[None].astype(np.float64))[0])
+
+
+def _local_efficiency_stack(w: np.ndarray) -> np.ndarray:
+    """Local efficiency of each matrix in an (M, n, n) float stack whose
+    matrices share one adjacency pattern w > 0, as an (M, n) array.
+
+    The tree's schedule depends only on the pattern, so the stack walks it
+    once; each matrix keeps its own w / max(w) and distances, and gets the
+    same operations, in the same order, as a stack of one.
+    """
+    stack, n = w.shape[0], w.shape[1]
+    values = np.zeros((stack, n))
+    adj = w[0] > 0  # symmetric, with a zero diagonal: no vertex neighbors itself
+    if not adj.any():  # all-zero matrices: max(w) = 0
+        return values
+    wn = w / w.max(axis=(1, 2), keepdims=True)
     dist = np.divide(1.0, wn, out=np.full_like(wn, np.inf), where=adj)
-    np.fill_diagonal(dist, 0.0)
+    dist[:, np.arange(n), np.arange(n)] = 0.0
+    g = np.arange(stack)[:, None, None]
 
     def descend(d: np.ndarray, lo: int, hi: int, pending: np.ndarray) -> None:
         near = adj[lo:hi, pending]
@@ -135,13 +150,21 @@ def local_efficiency(m: ConnectivityMatrix) -> NodalProfile:
         k = nbrs.size
         if k < 2:
             return
-        sub = d[np.ix_(nbrs, nbrs)]
-        np.fill_diagonal(sub, np.inf)  # self pairs, like unreachable ones, add cbrt(0)
-        wi = wn[lo, nbrs]
-        values[lo] = np.cbrt(np.outer(wi, wi) / sub).sum() / (k * (k - 1))
+        # the summed array must be C-contiguous for each matrix's k * k terms to
+        # add in a lone (k, k) array's order: gather with advanced indices only
+        sub = d[g, nbrs[:, None], nbrs]
+        sub[:, np.arange(k), np.arange(k)] = np.inf  # self pairs, like unreachable ones, add cbrt(0)
+        wi = np.ascontiguousarray(wn[:, lo, nbrs])
+        values[:, lo] = np.cbrt(wi[:, :, None] * wi[:, None, :] / sub).sum(axis=(1, 2)) / (k * (k - 1))
 
     descend(dist, 0, n, np.arange(n))
-    return NodalProfile("LE", values)
+    return values
+
+
+# elements per local-efficiency stack: 16 matrices at N=32, 3 at N=68. Past
+# the caches a stack loses its gain: on a 2-core host, 16 matrices at N=68 took
+# 8.1 ms each stacked against 7.6 ms one at a time, and 2 to 8 took 6.0-6.8 ms
+_STACK_ELEMENTS = 16_384
 
 
 def nodal_profiles(m: ConnectivityMatrix) -> dict[str, np.ndarray]:
@@ -150,6 +173,29 @@ def nodal_profiles(m: ConnectivityMatrix) -> dict[str, np.ndarray]:
     profiles = (nodal_strength(m), closeness_centrality(m),
                 clustering_coefficient(m), local_efficiency(m))
     return {p.metric_id: p.values for p in profiles}
+
+
+def nodal_profiles_many(ms: list[ConnectivityMatrix]) -> list[dict[str, np.ndarray]]:
+    """`nodal_profiles` of each matrix, in input order, byte for byte.
+
+    Matrices with the same node count and adjacency pattern share local
+    efficiency's relaxation tree, in stacks of at most `_STACK_ELEMENTS`
+    elements; NS, CC and CLC are computed matrix by matrix.
+    """
+    groups: dict[tuple, list[int]] = {}
+    for i, m in enumerate(ms):
+        groups.setdefault((m.n, (m.values > 0).tobytes()), []).append(i)
+    le = [None] * len(ms)
+    for members in groups.values():
+        n = ms[members[0]].n
+        size = max(1, _STACK_ELEMENTS // (n * n))
+        for lo in range(0, len(members), size):
+            chunk = members[lo:lo + size]
+            w = np.stack([ms[i].values for i in chunk]).astype(np.float64)
+            for i, values in zip(chunk, _local_efficiency_stack(w)):
+                le[i] = values
+    return [{"NS": nodal_strength(m).values, "CC": closeness_centrality(m).values,
+             "CLC": clustering_coefficient(m).values, "LE": values} for m, values in zip(ms, le)]
 
 
 def symmetric_eigenvalues(a: np.ndarray) -> EigenDecomposition:

@@ -394,3 +394,75 @@ def test_cli_import_loads_no_scipy():
     out = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": str(src)},
                          capture_output=True, text=True, check=True, timeout=60)
     assert out.stdout.strip() == "False"
+
+
+def _run_cli(argv) -> subprocess.CompletedProcess:
+    """The CLI in a fresh process, so its exit code and stderr are the user's."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    return subprocess.run([sys.executable, "-m", "scharm.cli", *map(str, argv)],
+                          env={**os.environ, "PYTHONPATH": str(src)},
+                          capture_output=True, text=True, timeout=300)
+
+
+def _edited_manifest(cohort_dir, name, keep) -> Path:
+    """A copy of the cohort manifest holding only the subject entries `keep` accepts,
+    written next to the matrices it points at."""
+    payload = json.loads((cohort_dir / "manifest.json").read_text())
+    payload["subjects"] = [e for e in payload["subjects"] if keep(e)]
+    path = cohort_dir / name
+    path.write_text(json.dumps(payload))
+    return path
+
+
+class TestEmptyCohorts:
+    """No records to work on: exit 1, no traceback, nothing written."""
+
+    @pytest.mark.parametrize("method", ["lr", "fae"])
+    def test_harmonize_from_a_site_without_records(self, tmp_path, cohort_dir, method):
+        full = cohort_dir / "manifest.json"
+        if method == "lr":
+            model = tmp_path / "lr.csv"
+            assert run(["fit-lr", "--manifest", str(full), "--out", str(model)]) == 0
+        else:
+            assert run(["train", "--manifest", str(full), "--arch", "fae",
+                        "--config", str(_tiny_fae_config(tmp_path)), "--epochs", "1",
+                        "--out-dir", str(tmp_path / "model")]) == 0
+            model = tmp_path / "model" / "model.bin"
+        no_site0 = _edited_manifest(cohort_dir, "no_site0.json", lambda e: e["site_index"] != 0)
+        # site 0 is the lowest-quality site, the default source
+        proc = _run_cli(["harmonize", "--manifest", no_site0, "--method", method, "--model", model,
+                         "--target-site", "3", "--out-dir", tmp_path / "h"])
+        assert proc.returncode == 1, proc.stderr
+        assert "Traceback" not in proc.stderr and "EmptyCohort" in proc.stderr
+        assert not (tmp_path / "h").exists()
+
+    def test_train_on_an_empty_manifest(self, tmp_path, cohort_dir):
+        empty = _edited_manifest(cohort_dir, "empty.json", lambda e: False)
+        proc = _run_cli(["train", "--manifest", empty, "--arch", "fae", "--epochs", "1",
+                         "--out-dir", tmp_path / "model"])
+        assert proc.returncode == 1, proc.stderr
+        assert "Traceback" not in proc.stderr and "EmptyCohort" in proc.stderr
+        assert not (tmp_path / "model").exists()
+
+    def test_harmonize_an_empty_manifest(self, tmp_path, cohort_dir):
+        model = tmp_path / "lr.csv"
+        assert run(["fit-lr", "--manifest", str(cohort_dir / "manifest.json"), "--out", str(model)]) == 0
+        empty = _edited_manifest(cohort_dir, "empty.json", lambda e: False)
+        proc = _run_cli(["harmonize", "--manifest", empty, "--method", "lr", "--model", model,
+                         "--target-site", "3", "--out-dir", tmp_path / "h"])
+        assert proc.returncode == 1, proc.stderr
+        assert "Traceback" not in proc.stderr and "EmptyCohort" in proc.stderr
+        assert not (tmp_path / "h").exists()
+
+
+def test_metrics_calls_local_efficiency_once_per_record(tmp_path, cohort_dir, monkeypatch):
+    # the benchmark's traced mode times `metrics.local_efficiency` by name, so
+    # the metrics stage must keep profiling record by record through it
+    from scharm import metrics as gm
+    calls = []
+    local_efficiency = gm.local_efficiency
+    monkeypatch.setattr(gm, "local_efficiency", lambda m: calls.append(m) or local_efficiency(m))
+    manifest = sio.load_cohort(cohort_dir / "manifest.json")
+    assert run(["metrics", "--manifest", str(cohort_dir / "manifest.json"),
+                "--out", str(tmp_path / "metrics.csv")]) == 0
+    assert calls == [r.matrix for r in manifest.subjects]

@@ -135,6 +135,10 @@ def _toy_cohort(n_subjects: int, rng=None) -> CohortManifest:
 
 
 class TestSplit:
+    def test_empty_cohort_has_no_node_count(self):
+        with pytest.raises(EmptyCohort):
+            CohortManifest(subjects=[], sites=table1_sites()).n_nodes
+
     def test_empty_cohort(self):
         with pytest.raises(EmptyCohort):
             split_cohort(CohortManifest(subjects=[], sites=table1_sites()), (0.8, 0.1, 0.1), 0)

@@ -236,8 +236,9 @@ class TestEvaluateCohorts:
         pred.subjects[0] = SubjectRecord(subject_id=twin.subject_id, site=SITES[3],
                                          matrix=ConnectivityMatrix(twin.matrix.values.copy()))
         profiles, spectra = [], []
-        nodal_profiles, symmetric_eigenvalues = gm.nodal_profiles, gm.symmetric_eigenvalues
-        monkeypatch.setattr(gm, "nodal_profiles", lambda m: profiles.append(m) or nodal_profiles(m))
+        nodal_profiles_many, symmetric_eigenvalues = gm.nodal_profiles_many, gm.symmetric_eigenvalues
+        monkeypatch.setattr(gm, "nodal_profiles_many",
+                            lambda ms: profiles.extend(ms) or nodal_profiles_many(ms))
         monkeypatch.setattr(gm, "symmetric_eigenvalues",
                             lambda a: spectra.append(a) or symmetric_eigenvalues(a))
         evaluate_cohorts(pred, target, retest)

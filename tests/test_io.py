@@ -6,11 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from scharm import ConnectivityMatrix, split_cohort
+from scharm import CohortManifest, ConnectivityMatrix, split_cohort
 from scharm import io as sio
 from scharm import checkpoint
 from scharm.core import table1_sites
-from scharm.errors import IoError, NonIntegerEntry, ParseError
+from scharm.errors import EmptyCohort, IoError, NonIntegerEntry, ParseError
 from scharm.synthetic import SyntheticSiteEffect, default_cohort
 from conftest import random_connectome
 
@@ -155,6 +155,12 @@ class TestCohortRoundTrip:
             assert a.site == b.site
             assert a.matrix == b.matrix
             assert a.latent_truth == b.latent_truth
+
+    def test_empty_cohort_is_rejected_before_any_directory(self, tmp_path):
+        # the manifest records n_nodes, which an empty cohort does not have
+        with pytest.raises(EmptyCohort):
+            sio.save_cohort(CohortManifest(subjects=[], sites=table1_sites()), tmp_path / "cohort")
+        assert not (tmp_path / "cohort").exists()
 
 
 class TestCheckpoint:

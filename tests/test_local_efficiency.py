@@ -1,16 +1,18 @@
 """The shared relaxation tree in `local_efficiency` against one Floyd-Warshall
-per neighborhood (`_oracles.pernode_local_efficiency`).
+per neighborhood (`_oracles.pernode_local_efficiency`), and the stacked walk
+of `nodal_profiles_many` against `nodal_profiles` one matrix at a time.
 
-The two relax in different orders, so sums of path lengths may round
-differently: values are compared to 1e-12 relative, and where every shortest
-path is a single edge (unit cliques) they must agree bit for bit.
+The tree and the oracle relax in different orders, so sums of path lengths
+may round differently: values are compared to 1e-12 relative, and where every
+shortest path is a single edge (unit cliques) they must agree bit for bit.
+A stack runs the same operations as a lone matrix, so there the bytes match.
 """
 
 import numpy as np
 import pytest
 
 from scharm import ConnectivityMatrix
-from scharm.metrics import local_efficiency
+from scharm.metrics import _STACK_ELEMENTS, local_efficiency, nodal_profiles, nodal_profiles_many
 from conftest import random_connectome
 from _oracles import pernode_local_efficiency
 
@@ -82,3 +84,34 @@ def test_unit_cliques_bitwise(n):
     values = local_efficiency(m).values
     assert np.array_equal(values, pernode_local_efficiency(m.values))
     assert np.array_equal(values, np.ones(n))
+
+
+def _batch_cases(rng) -> list[ConnectivityMatrix]:
+    ms = []
+    # dense groups share one pattern; 17 at N=33 is more than one stack holds
+    for n, count in ((5, 4), (17, 3), (33, _STACK_ELEMENTS // 33**2 + 2), (68, 4), (70, 2)):
+        ms += [random_connectome(rng, n, density=1.0, max_weight=300) for _ in range(count)]
+    # sparse graphs: each its own pattern
+    ms += [random_connectome(rng, int(rng.integers(3, 41)), density=float(rng.uniform(0.05, 0.9)),
+                             max_weight=200) for _ in range(12)]
+    ms += [ConnectivityMatrix(np.zeros((n, n), dtype=int)) for n in (1, 2, 5, 5)]
+    ms += [ConnectivityMatrix(np.zeros((1, 1), dtype=int)), ConnectivityMatrix(np.array([[0, 3], [3, 0]]))]
+    ms += [ms[0], ms[7], ms[35], ms[-1]]  # repeats: dense, sparse and N=2
+    order = rng.permutation(len(ms))  # interleave the groups
+    return [ms[i] for i in order]
+
+
+def test_nodal_profiles_many_matches_one_at_a_time_bitwise():
+    ms = _batch_cases(np.random.default_rng(2024))
+    many = nodal_profiles_many(ms)
+    assert len(many) == len(ms)
+    for m, got in zip(ms, many):
+        expected = nodal_profiles(m)
+        assert list(got) == list(expected) == ["NS", "CC", "CLC", "LE"]
+        for name in expected:
+            assert got[name].dtype == expected[name].dtype
+            assert got[name].tobytes() == expected[name].tobytes(), (m.n, name)
+
+
+def test_nodal_profiles_many_of_nothing():
+    assert nodal_profiles_many([]) == []
