@@ -354,12 +354,6 @@ def softmax_cross_entropy(logits: Tensor, labels: np.ndarray) -> Tensor:
     return (lse - (Tensor(labels) * z).sum(axis=1, keepdims=True)).mean()
 
 
-def softmax(logits: np.ndarray) -> np.ndarray:
-    z = logits - logits.max(axis=-1, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=-1, keepdims=True)
-
-
 def sigmoid_bce(logits: Tensor, targets: np.ndarray) -> Tensor:
     """Mean binary cross-entropy from logits, stabilized as
     max(z, 0) - z*t + log(1 + exp(-|z|))."""

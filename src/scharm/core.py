@@ -189,6 +189,11 @@ class CohortManifest:
 
     def __post_init__(self):
         indices = {s.site_index for s in self.sites}
+        if len(indices) < len(self.sites):
+            raise ValidationError(f"site indices repeat in {sorted(s.site_index for s in self.sites)}")
+        node_counts = {rec.matrix.n for rec in self.subjects}
+        if len(node_counts) > 1:
+            raise ValidationError(f"records mix node counts {sorted(node_counts)}")
         for rec in self.subjects:
             if rec.site.site_index not in indices:
                 raise ValidationError(f"subject {rec.subject_id} uses unknown site {rec.site.site_index}")

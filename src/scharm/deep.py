@@ -74,9 +74,20 @@ class ArchitectureConfig:
     def __post_init__(self):
         if self.kind not in ("fae", "gae"):
             raise ValidationError(f"unknown architecture kind {self.kind!r}")
-        widths = self.encoder_widths + self.decoder_widths + self.classifier_widths + self.mapper_widths
-        if any(w <= 0 for w in widths) or self.embedding_dim <= 0:
-            raise ValidationError("layer widths must be positive")
+        widths = [self.encoder_widths, self.decoder_widths, self.classifier_widths, self.mapper_widths]
+        if not all(isinstance(w, list) for w in widths):
+            raise ValidationError("layer widths must be lists")
+        counts = [self.n_nodes, self.n_sites, self.embedding_dim, self.gae_hidden] + sum(widths, [])
+        if not all(isinstance(v, int) and v > 0 for v in counts):
+            raise ValidationError("node, site and layer counts must be positive integers")
+        if not (isinstance(self.cheb_order, int) and self.cheb_order >= 0):
+            raise ValidationError(f"cheb_order must be an integer >= 0, got {self.cheb_order!r}")
+        if not (isinstance(self.edge_loss_weight, (int, float)) and 1 <= self.edge_loss_weight < np.inf):
+            raise ValidationError(f"edge_loss_weight must be finite and >= 1, got {self.edge_loss_weight!r}")
+        if self.norm not in ("batch", "layer", "none"):
+            raise ValidationError(f"unknown norm {self.norm!r}")
+        if not isinstance(self.bce_enabled, bool):
+            raise ValidationError(f"bce_enabled must be true or false, got {self.bce_enabled!r}")
 
     @classmethod
     def fae_default(cls, n_nodes: int, n_sites: int) -> "ArchitectureConfig":
@@ -219,9 +230,6 @@ class HarmonizerModel(Module):
 
     # -- preprocessing ---------------------------------------------------------
 
-    def _fae_input(self, matrices: list[ConnectivityMatrix]) -> np.ndarray:
-        return np.log1p(vectorize_many(matrices))
-
     def _gae_laplacians(self, matrices: list[ConnectivityMatrix]) -> np.ndarray:
         # rescaled with lambda_max fixed at 2: L~ = L - I, spectrum in [-1, 1]
         return np.stack([normalized_laplacian(m) - np.eye(m.n) for m in matrices])
@@ -241,11 +249,10 @@ class HarmonizerModel(Module):
             if m.n != self.config.n_nodes:
                 raise DimensionMismatch(f"matrix has {m.n} nodes, model expects {self.config.n_nodes}")
         if self.config.kind == "fae":
-            x = Tensor(self._fae_input(matrices))
+            x = Tensor(np.log1p(vectorize_many(matrices)))
             return self.embed_norm(self.encoder(x, training=training), training=training), None
         laps = self._gae_laplacians(matrices)
-        x = Tensor(np.broadcast_to(np.eye(self.config.n_nodes), laps.shape).copy())
-        h = x
+        h = Tensor(np.broadcast_to(np.eye(self.config.n_nodes), laps.shape).copy())
         for conv in self.enc_convs:
             h = conv(h, Tensor(laps), training=training)
         return h, laps
@@ -278,32 +285,12 @@ class HarmonizerModel(Module):
         mask = 1.0 - np.eye(self.config.n_nodes)
         return sym * Tensor(mask[None, :, :])
 
-    # -- public single-matrix API ------------------------------------------------
-
-    def encode(self, m: ConnectivityMatrix) -> np.ndarray:
-        f_e, _ = self.encode_batch([m], training=False)
-        return f_e.data[0].copy()
-
-    def decode(self, f_e: np.ndarray, target_site: SiteDescriptor,
-               source_matrix: ConnectivityMatrix | None = None) -> ConnectivityMatrix:
-        laps = None
-        if self.config.kind == "gae":
-            if source_matrix is None:
-                raise ValidationError("GAE decoding needs the source matrix for its graph support")
-            laps = self._gae_laplacians([source_matrix])
-        raw = self.decode_batch(Tensor(f_e[None, ...]), np.array([target_site.site_index]), laps,
-                                training=False).data[0]
-        return self._postprocess(raw)
-
     def _postprocess(self, raw: np.ndarray) -> ConnectivityMatrix:
         if self.config.kind == "fae":
             return devectorize(round_half_away(np.maximum(raw, 0.0)), self.config.n_nodes)
         sym = (raw + raw.T) / 2.0
         np.fill_diagonal(sym, 0.0)
         return ConnectivityMatrix(round_half_away(np.maximum(sym, 0.0)))
-
-    def harmonize(self, m: ConnectivityMatrix, target_site: SiteDescriptor) -> ConnectivityMatrix:
-        return self.decode(self.encode(m), target_site, source_matrix=m)
 
     def harmonize_many(self, matrices: list[ConnectivityMatrix],
                        target_site: SiteDescriptor) -> list[ConnectivityMatrix]:
@@ -333,10 +320,14 @@ class HarmonizerModel(Module):
             sidecar["config"].pop("cheb_layers", None)  # written by earlier versions, never read
             config = ArchitectureConfig.from_dict(sidecar["config"])
             history = TrainingHistory.from_dict(sidecar["history"]) if sidecar.get("history") else None
+            seed, epoch = sidecar.get("seed", 0), sidecar.get("epoch", 0)
         except (KeyError, TypeError, AttributeError) as e:
             raise ParseError(f"{path}.json: malformed sidecar: {type(e).__name__} {e}") from e
-        model = cls(config, seed=sidecar.get("seed", 0))
-        model.epoch = sidecar.get("epoch", 0)
+        for name, value in (("seed", seed), ("epoch", epoch)):
+            if not (isinstance(value, int) and value >= 0):
+                raise ParseError(f"{path}.json: {name} must be an integer >= 0, got {value!r}")
+        model = cls(config, seed=seed)
+        model.epoch = epoch
         model.load_state_arrays(checkpoint.load_tensors(path))
         return model, history
 
@@ -509,7 +500,7 @@ def export_embeddings(model: HarmonizerModel, cohort: CohortManifest) -> str:
     k = model.config.embedding_dim
     lines = [",".join(["subject_id", "site_index"] + [f"e{i}" for i in range(k)])]
     for rec in cohort.subjects:
-        emb = model.encode(rec.matrix)
+        emb = model.encode_batch([rec.matrix])[0].data[0]
         pooled = emb.mean(axis=0) if emb.ndim == 2 else emb
         lines.append(",".join([rec.subject_id, str(rec.site.site_index)] + [f"{v:.10g}" for v in pooled]))
     return "\n".join(lines) + "\n"

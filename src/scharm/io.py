@@ -122,26 +122,17 @@ def save_effect(effect: SyntheticSiteEffect, path) -> None:
 def load_effect(path, d: int | None = None) -> SyntheticSiteEffect:
     """Load an effect file; scalar *_const fields broadcast to all d edges."""
     payload = read_json(path)
-    sigma = float(payload.get("noise_sigma", 0.0))
-    if "beta1_const" in payload:
-        if d is None:
-            raise ParseError(f"{path}: scalar effect shorthand requires a known edge count")
-        return SyntheticSiteEffect.constant(
-            d,
-            beta1=float(payload["beta1_const"]),
-            beta2=float(payload.get("beta2_const", 0.0)),
-            beta3=float(payload.get("beta3_const", 0.0)),
-            noise_sigma=sigma,
-        )
     try:
-        return SyntheticSiteEffect(
-            beta1=np.asarray(payload["beta1"], dtype=np.float64),
-            beta2=np.asarray(payload["beta2"], dtype=np.float64),
-            beta3=np.asarray(payload["beta3"], dtype=np.float64),
-            noise_sigma=sigma,
-        )
-    except KeyError as e:
-        raise ParseError(f"{path}: missing field {e}") from e
+        sigma = float(payload.get("noise_sigma", 0.0))
+        if "beta1_const" in payload:
+            if d is None:
+                raise ParseError(f"{path}: scalar effect shorthand requires a known edge count")
+            betas = [np.full(d, float(payload.get(f"beta{i}_const", 0.0))) for i in (1, 2, 3)]
+        else:
+            betas = [np.asarray(payload[f"beta{i}"], dtype=np.float64) for i in (1, 2, 3)]
+    except (AttributeError, KeyError, TypeError, ValueError) as e:
+        raise ParseError(f"{path}: malformed effect file: {type(e).__name__} {e}") from e
+    return SyntheticSiteEffect(*betas, noise_sigma=sigma)
 
 
 def _site_to_dict(s: SiteDescriptor) -> dict:
@@ -210,36 +201,34 @@ def load_cohort(manifest_path) -> CohortManifest:
     payload = read_json(manifest_path)
     base = manifest_path.parent
     try:
-        sites = {s.site_index: s for s in map(_site_from_dict, payload["sites"])}
-        entries = [(e, e["id"], sites[int(e["site_index"])], e["matrix_path"])
-                   for e in payload["subjects"]]
+        # every site entry, so that CohortManifest sees a repeated index
+        site_list = sorted(map(_site_from_dict, payload["sites"]), key=lambda s: s.site_index)
+        sites = {s.site_index: s for s in site_list}
+        entries = []
+        for e in payload["subjects"]:
+            if not isinstance(e["id"], str):
+                raise TypeError(f"subject id {e['id']!r} is not a string")
+            latent = e.get("latent_path")
+            entries.append((e, e["id"], sites[int(e["site_index"])], base / e["matrix_path"],
+                            base / latent if latent else None))
         seed = int(payload.get("seed", 0))
     except (KeyError, TypeError, ValueError) as e:
         raise ParseError(f"{manifest_path}: malformed manifest: {type(e).__name__} {e}") from e
-    latent_cache: dict[str, ConnectivityMatrix] = {}
+    latent_cache: dict[Path, ConnectivityMatrix] = {}
     records = []
     split_labels = {}
-    for entry, sid, site, matrix_path in entries:
-        latent = None
-        if entry.get("latent_path"):
-            lp = entry["latent_path"]
-            if lp not in latent_cache:
-                latent_cache[lp] = load_matrix(base / lp)
-            latent = latent_cache[lp]
+    for entry, sid, site, matrix_path, latent_path in entries:
+        if latent_path is not None and latent_path not in latent_cache:
+            latent_cache[latent_path] = load_matrix(latent_path)
         records.append(
             SubjectRecord(
                 subject_id=sid,
                 site=site,
-                matrix=load_matrix(base / matrix_path),
+                matrix=load_matrix(matrix_path),
                 group_key=entry.get("group_key"),
-                latent_truth=latent,
+                latent_truth=latent_cache.get(latent_path),
             )
         )
         if entry.get("split"):
             split_labels[sid] = entry["split"]
-    return CohortManifest(
-        subjects=records,
-        sites=[sites[k] for k in sorted(sites)],
-        split_labels=split_labels,
-        seed=seed,
-    )
+    return CohortManifest(subjects=records, sites=site_list, split_labels=split_labels, seed=seed)

@@ -42,7 +42,7 @@ class EigenDecomposition:
 
 def nodal_strength(m: ConnectivityMatrix) -> NodalProfile:
     """NS(i) = sum of incident edge weights."""
-    return NodalProfile("NS", m.values.sum(axis=1).astype(np.float64))
+    return NodalProfile("NS", m.values.sum(axis=1, dtype=np.float64))
 
 
 def _relax(d: np.ndarray, vertices) -> None:

@@ -43,33 +43,37 @@ class Module:
         return {name: v for name, v in self._leaves("") if isinstance(v, np.ndarray)}
 
 
-class Dense(Module):
-    """Affine map on the last axis, optional normalization then activation."""
+class _Layer(Module):
+    """Base of Dense and ChebConv: the subclass's affine map, then optional norm, then optional relu."""
 
-    def __init__(self, rng, in_features: int, out_features: int, norm: str = "none", act: str = "none"):
-        self.w = Tensor(glorot(rng, in_features, out_features), requires_grad=True)
-        self.b = Tensor(np.zeros(out_features), requires_grad=True)
-        if norm == "batch":
-            self.norm = BatchNorm(out_features)
-        elif norm == "layer":
-            self.norm = LayerNorm(out_features)
-        elif norm == "none":
-            self.norm = None
-        else:
-            raise ValidationError(f"unknown norm {norm!r}")
+    def _init_tail(self, features: int, norm: str, act: str, norms: tuple[str, ...]) -> None:
+        if norm != "none" and norm not in norms:
+            raise ValidationError(f"unknown norm {norm!r} for {type(self).__name__}")
         if act not in ("relu", "none"):
             raise ValidationError(f"unknown act {act!r}")
+        self.norm = None if norm == "none" else {"batch": BatchNorm, "layer": LayerNorm}[norm](features)
         self.act = act
 
-    def __call__(self, x: Tensor, training: bool = True) -> Tensor:
-        if x.data.shape[-1] != self.w.data.shape[0]:
-            raise ShapeMismatch(f"input width {x.data.shape[-1]} != {self.w.data.shape[0]}")
-        out = x @ self.w + self.b
+    def _tail(self, out: Tensor, training: bool) -> Tensor:
         if self.norm is not None:
             out = self.norm(out, training=training)
         if self.act == "relu":
             out = out.relu()
         return out
+
+
+class Dense(_Layer):
+    """Affine map on the last axis, optional batch or layer normalization then activation."""
+
+    def __init__(self, rng, in_features: int, out_features: int, norm: str = "none", act: str = "none"):
+        self.w = Tensor(glorot(rng, in_features, out_features), requires_grad=True)
+        self.b = Tensor(np.zeros(out_features), requires_grad=True)
+        self._init_tail(out_features, norm, act, norms=("batch", "layer"))
+
+    def __call__(self, x: Tensor, training: bool = True) -> Tensor:
+        if x.data.shape[-1] != self.w.data.shape[0]:
+            raise ShapeMismatch(f"input width {x.data.shape[-1]} != {self.w.data.shape[0]}")
+        return self._tail(x @ self.w + self.b, training)
 
 
 class BatchNorm(Module):
@@ -127,8 +131,8 @@ class UnitNorm(Module):
         return x * (sq + self.eps).pow(-0.5)
 
 
-class ChebConv(Module):
-    """Chebyshev graph convolution layer with bias, optional norm/activation."""
+class ChebConv(_Layer):
+    """Chebyshev graph convolution layer with bias, optional layer normalization then activation."""
 
     def __init__(self, rng, in_features: int, out_features: int, order: int,
                  norm: str = "none", act: str = "none"):
@@ -137,21 +141,10 @@ class ChebConv(Module):
             requires_grad=True,
         )
         self.b = Tensor(np.zeros(out_features), requires_grad=True)
-        if norm == "layer":
-            self.norm = LayerNorm(out_features)
-        elif norm == "none":
-            self.norm = None
-        else:
-            raise ValidationError(f"unknown norm {norm!r} for graph layers")
-        self.act = act
+        self._init_tail(out_features, norm, act, norms=("layer",))
 
-    def __call__(self, x: Tensor, l_rescaled, training: bool = True, validate_spectrum: bool = False) -> Tensor:
-        out = chebconv(x, l_rescaled, self.theta, validate_spectrum=validate_spectrum) + self.b
-        if self.norm is not None:
-            out = self.norm(out, training=training)
-        if self.act == "relu":
-            out = out.relu()
-        return out
+    def __call__(self, x: Tensor, l_rescaled, training: bool = True) -> Tensor:
+        return self._tail(chebconv(x, l_rescaled, self.theta, validate_spectrum=False) + self.b, training)
 
 
 class MLP(Module):

@@ -9,7 +9,8 @@ graphs, `fw_shortest_paths` is scipy's Floyd-Warshall and
 `pernode_local_efficiency` is the straightforward per-neighborhood form: one
 such Floyd-Warshall per node on its neighborhood subgraph. The
 Adam oracle is the update written as one expression per moment, with no
-scratch arrays, and the fingerprinting oracle scores one row at a time.
+scratch arrays, the fingerprinting oracle scores one row at a time, and
+`softmax` is the reference the cross-entropy loss is checked against.
 """
 
 import itertools
@@ -179,3 +180,9 @@ def bf_adam_step(p, g, m, v, step, lr, beta1=0.9, beta2=0.999, eps=1e-8):
     bc2 = 1.0 - beta2**step
     p = p - (lr * (m / bc1)) / (np.sqrt(v / bc2) + eps)
     return p, m, v
+
+
+def softmax(logits: np.ndarray) -> np.ndarray:
+    z = logits - logits.max(axis=-1, keepdims=True)
+    e = np.exp(z)
+    return e / e.sum(axis=-1, keepdims=True)

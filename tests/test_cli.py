@@ -1,14 +1,21 @@
 import json
 import os
+import shutil
 import subprocess
 import sys
+from functools import reduce
+from operator import getitem
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from scharm import io as sio
 from scharm.cli import run
-from scharm.core import SiteDescriptor, table1_sites
+from scharm.core import ConnectivityMatrix, SiteDescriptor, table1_sites
+from scharm.deep import ArchitectureConfig
 
 
 def _generate(tmp_path, subjects: int, out, sites_list=None) -> int:
@@ -200,6 +207,17 @@ class TestExitCodes:
                     "--out-dir", str(tmp_path / "model")]) == code
         assert not (tmp_path / "model").exists()
 
+    @pytest.mark.parametrize("body", [
+        '{"cheb_order": -1}', '{"cheb_order": 0.5}', '{"embedding_dim": 2.5}', '{"gae_hidden": 0}',
+        '{"edge_loss_weight": 0.5}',
+    ])
+    def test_unbuildable_gae_config_is_1_before_any_directory(self, tmp_path, cohort_dir, body):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(body)
+        assert run(["train", "--manifest", str(cohort_dir / "manifest.json"), "--arch", "gae",
+                    "--config", str(cfg), "--epochs", "1", "--out-dir", str(tmp_path / "model")]) == 1
+        assert not (tmp_path / "model").exists()
+
     def test_validation_error_is_1(self, tmp_path, cohort_dir):
         # unknown target site index inside a well-formed manifest
         model_csv = tmp_path / "lr.csv"
@@ -331,6 +349,18 @@ def _two_site_cohort(tmp_path, indices) -> str:
     return str(out / "manifest.json")
 
 
+def _shrink_first_matrix(cohort_dir) -> None:
+    """Overwrite the first record's 10-node matrix with an 8-node one, and drop
+    the latent matrices, which would otherwise reject it first."""
+    manifest = cohort_dir / "manifest.json"
+    payload = json.loads(manifest.read_text())
+    for entry in payload["subjects"]:
+        del entry["latent_path"]
+    manifest.write_text(json.dumps(payload))
+    sio.save_matrix(ConnectivityMatrix(np.ones((8, 8), dtype=np.int64) - np.eye(8, dtype=np.int64)),
+                    cohort_dir / payload["subjects"][0]["matrix_path"])
+
+
 class TestRejectedBeforeOutput:
     """Each case exits 1 (no traceback) and leaves no output behind."""
 
@@ -373,6 +403,28 @@ class TestRejectedBeforeOutput:
         assert run(["harmonize", "--manifest", manifest, "--method", "lr",
                     "--model", str(model_csv), "--target-site", "3",
                     "--out-dir", str(tmp_path / "h")]) == 1
+        assert not (tmp_path / "h").exists()
+
+    def test_generate_with_a_repeated_site_index(self, tmp_path):
+        sites = table1_sites()[:3] + [SiteDescriptor(b_value=3000.0, resolution=1.25, site_index=0)]
+        assert _generate(tmp_path, 16, tmp_path / "cohort", sites) == 1
+        assert not (tmp_path / "cohort").exists()
+
+    def test_train_on_mixed_node_counts(self, tmp_path, cohort_dir):
+        _shrink_first_matrix(cohort_dir)
+        assert run(["train", "--manifest", str(cohort_dir / "manifest.json"), "--arch", "fae",
+                    "--config", str(_tiny_fae_config(tmp_path)), "--epochs", "1",
+                    "--out-dir", str(tmp_path / "model")]) == 1
+        assert not (tmp_path / "model").exists()
+
+    def test_harmonize_mixed_node_counts_blames_the_cohort(self, tmp_path, cohort_dir):
+        model = tmp_path / "lr.csv"
+        assert run(["fit-lr", "--manifest", str(cohort_dir / "manifest.json"), "--out", str(model)]) == 0
+        _shrink_first_matrix(cohort_dir)
+        proc = _run_cli(["harmonize", "--manifest", cohort_dir / "manifest.json", "--method", "lr",
+                         "--model", model, "--target-site", "3", "--out-dir", tmp_path / "h"])
+        assert proc.returncode == 1, proc.stderr
+        assert "Traceback" not in proc.stderr and "node counts" in proc.stderr
         assert not (tmp_path / "h").exists()
 
     def test_evaluate_without_a_shared_subject(self, tmp_path, cohort_dir):
@@ -466,3 +518,93 @@ def test_metrics_calls_local_efficiency_once_per_record(tmp_path, cohort_dir, mo
     assert run(["metrics", "--manifest", str(cohort_dir / "manifest.json"),
                 "--out", str(tmp_path / "metrics.csv")]) == 0
     assert calls == [r.matrix for r in manifest.subjects]
+
+
+_REPLACEMENTS = [None, "x", [], {}, -1, 0, 2.5]
+
+
+def _json_paths(doc, prefix=()):
+    """The path of every value nested in a JSON document, as key/index tuples."""
+    items = doc.items() if isinstance(doc, dict) else enumerate(doc) if isinstance(doc, list) else ()
+    for key, value in items:
+        yield prefix + (key,)
+        yield from _json_paths(value, prefix + (key,))
+
+
+@pytest.fixture(scope="module")
+def json_inputs(tmp_path_factory):
+    """A tiny valid cohort, LR model, FAE and GAE models and configs; returns
+    (work dir, {input name: (mutated copy, original, argv writing to work/out)})."""
+    work = tmp_path_factory.mktemp("json_inputs")
+    assert _generate(work, 16, work / "cohort") == 0
+    manifest = work / "cohort" / "manifest.json"
+    assert run(["fit-lr", "--manifest", str(manifest), "--out", str(work / "lr.csv")]) == 0
+    out = str(work / "out")
+    inputs = {}
+    for arch in ("fae", "gae"):
+        config = ArchitectureConfig(kind=arch, n_nodes=10, n_sites=4, embedding_dim=4,
+                                    encoder_widths=[16], decoder_widths=[16], classifier_widths=[8],
+                                    mapper_widths=[8], cheb_order=2, gae_hidden=8)
+        (work / f"{arch}.json").write_text(json.dumps(config.to_dict()))
+        assert run(["train", "--manifest", str(manifest), "--arch", arch, "--config",
+                    str(work / f"{arch}.json"), "--epochs", "1", "--out-dir", str(work / arch)]) == 0
+        model = work / f"mutated_{arch}" / "model.bin"
+        model.parent.mkdir()
+        shutil.copy(work / arch / "model.bin", model)
+        inputs[f"config-{arch}"] = (work / f"mutated_{arch}.json", work / f"{arch}.json",
+                                    ["train", "--manifest", str(manifest), "--arch", arch, "--config",
+                                     str(work / f"mutated_{arch}.json"), "--epochs", "1", "--out-dir", out])
+        inputs[f"sidecar-{arch}"] = (Path(f"{model}.json"), work / arch / "model.bin.json",
+                                     ["harmonize", "--manifest", str(manifest), "--method", arch,
+                                      "--model", str(model), "--target-site", "3", "--out-dir", out])
+    generate = ["generate", "--nodes", "10", "--subjects", "16", "--seed", "3", "--out-dir", out]
+    inputs["sites"] = (work / "mutated_sites.json", work / "sites.json",
+                       generate + ["--sites-file", str(work / "mutated_sites.json"),
+                                   "--effect-file", str(work / "effect.json")])
+    inputs["effect"] = (work / "mutated_effect.json", work / "effect.json",
+                        generate + ["--sites-file", str(work / "sites.json"),
+                                    "--effect-file", str(work / "mutated_effect.json")])
+    mutated_manifest = work / "cohort" / "mutated.json"  # next to the matrices it points at
+    for stage, argv in {
+        "harmonize": ["harmonize", "--method", "lr", "--model", str(work / "lr.csv"),
+                      "--target-site", "3", "--out-dir", out, "--manifest"],
+        "fit-lr": ["fit-lr", "--out", out, "--manifest"],
+        "evaluate": ["evaluate", "--target-manifest", str(manifest), "--out", out, "--pred-manifest"],
+    }.items():
+        inputs[f"manifest-{stage}"] = (mutated_manifest, manifest, argv + [str(mutated_manifest)])
+    return work, inputs
+
+
+@pytest.mark.parametrize("name", ["sites", "effect", "manifest-harmonize", "manifest-fit-lr",
+                                  "manifest-evaluate", "sidecar-fae", "sidecar-gae",
+                                  "config-fae", "config-gae"])
+@settings(max_examples=50, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_every_json_input_mutation_exits_cleanly(json_inputs, name, data):
+    # one key dropped, one value replaced or the whole root a list: the stage
+    # exits 0, 1 or 2 without raising, and a failed stage leaves no output
+    work, inputs = json_inputs
+    mutated, original, argv = inputs[name]
+    doc = json.loads(original.read_text())
+    where = data.draw(st.sampled_from([()] + list(_json_paths(doc))), label="where")
+    if not where:
+        doc = data.draw(st.sampled_from([[], [1, 2]]), label="root")
+    else:
+        parent = reduce(getitem, where[:-1], doc)
+        replacement = data.draw(st.sampled_from(["drop"] + _REPLACEMENTS), label="replacement")
+        if replacement == "drop":
+            del parent[where[-1]]
+        else:
+            parent[where[-1]] = replacement
+    mutated.write_text(json.dumps(doc))
+    out = work / "out"
+    try:
+        code = run(argv)
+        assert code in (0, 1, 2)
+        assert code == 0 or not out.exists()
+    finally:
+        if out.is_dir():
+            shutil.rmtree(out)
+        elif out.exists():
+            out.unlink()

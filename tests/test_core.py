@@ -205,6 +205,20 @@ class TestSubstream:
         assert site0 and all(r.site.site_index == 0 for r in site0)
 
 
+class TestManifestInvariants:
+    def test_repeated_site_index_is_rejected(self):
+        sites = table1_sites()
+        with pytest.raises(ValidationError, match="site ind"):
+            CohortManifest(subjects=[], sites=sites + [sites[0]])
+
+    def test_mixed_node_counts_are_rejected(self, rng):
+        site = table1_sites()[0]
+        records = [SubjectRecord(subject_id=f"s{n}", site=site, matrix=random_connectome(rng, n))
+                   for n in (10, 8, 10)]
+        with pytest.raises(ValidationError, match="node count"):
+            CohortManifest(subjects=records, sites=[site])
+
+
 class TestPairBySubject:
     def test_pairs_shared_subjects_in_id_order(self, rng):
         low, high = table1_sites()[0], table1_sites()[3]

@@ -16,7 +16,7 @@ from scharm.deep import (
     select_best_epoch,
     train,
 )
-from scharm.errors import EmptyHistory, UnknownSite, ValidationError
+from scharm.errors import EmptyHistory, ParseError, UnknownSite, ValidationError
 from conftest import random_connectome
 
 N = 8
@@ -81,6 +81,15 @@ class TestArchitectureConfig:
         with pytest.raises(ValidationError):
             ArchitectureConfig(kind="fae", n_nodes=8, n_sites=4, encoder_widths=[0])
 
+    @pytest.mark.parametrize("override", [
+        {"cheb_order": -1}, {"cheb_order": 0.5}, {"embedding_dim": 2.5}, {"gae_hidden": 0},
+        {"edge_loss_weight": 0.5}, {"norm": "spectral"}, {"n_nodes": 0}, {"n_sites": "x"},
+        {"mapper_widths": [2.5]}, {"encoder_widths": None}, {"bce_enabled": "x"},
+    ])
+    def test_unbuildable_field_rejected(self, override):
+        with pytest.raises(ValidationError):
+            ArchitectureConfig.from_dict({**ArchitectureConfig.gae_default(8, 4).to_dict(), **override})
+
     def test_unused_cheb_layers_field_rejected(self):
         with pytest.raises(ValidationError, match="cheb_layers"):
             ArchitectureConfig.from_dict({**ArchitectureConfig.gae_default(8, 4).to_dict(),
@@ -92,15 +101,15 @@ class TestModelPlumbing:
     def test_encode_deterministic(self, kind, rng):
         model = HarmonizerModel(_tiny_config(kind), seed=3)
         m = random_connectome(rng, N)
-        assert np.array_equal(model.encode(m), model.encode(m))
+        assert np.array_equal(model.encode_batch([m])[0].data[0], model.encode_batch([m])[0].data[0])
         # same seed, fresh model: identical initialization
         again = HarmonizerModel(_tiny_config(kind), seed=3)
-        assert np.array_equal(again.encode(m), model.encode(m))
+        assert np.array_equal(again.encode_batch([m])[0].data[0], model.encode_batch([m])[0].data[0])
 
     def test_harmonize_output_contract(self, kind, rng):
         model = HarmonizerModel(_tiny_config(kind), seed=0)
         m = random_connectome(rng, N)
-        out = model.harmonize(m, SITES[3])
+        out = model.harmonize_many([m], SITES[3])[0]
         assert isinstance(out, ConnectivityMatrix)
         assert out.n == N
 
@@ -114,7 +123,7 @@ class TestModelPlumbing:
         for cond in model.conditioners:
             cond.shift_net.w.data += perturb.standard_normal(cond.shift_net.w.data.shape)
         m = random_connectome(rng, N)
-        f_e = model.encode(m)
+        f_e = model.encode_batch([m])[0].data[0]
         laps = model._gae_laplacians([m]) if kind == "gae" else None
         from scharm.autodiff import Tensor
 
@@ -134,7 +143,7 @@ class TestModelPlumbing:
         for name, arr in model.state_arrays().items():
             assert np.array_equal(loaded.state_arrays()[name], arr), name
         m = random_connectome(rng, N)
-        assert loaded.harmonize(m, SITES[3]) == model.harmonize(m, SITES[3])
+        assert loaded.harmonize_many([m], SITES[3])[0] == model.harmonize_many([m], SITES[3])[0]
 
     def test_load_rejects_incomplete_checkpoint(self, kind, tmp_path):
         from scharm import checkpoint
@@ -166,10 +175,21 @@ class TestModelPlumbing:
 
         m = random_connectome(rng, N)
         bad = SiteDescriptor(b_value=5000.0, resolution=1.0, site_index=9)
+        f_e, laps = model.encode_batch([m])
         with pytest.raises(UnknownSite):
-            model.decode(model.encode(m), bad, source_matrix=m)
+            model.decode_batch(f_e, np.array([bad.site_index]), laps)
         with pytest.raises(UnknownSite):
             model.harmonize_many([m], bad)
+
+    @pytest.mark.parametrize("field, value", [("seed", "x"), ("seed", -1), ("epoch", "x")])
+    def test_wrong_typed_sidecar_field_is_parse_error(self, kind, tmp_path, field, value):
+        path = tmp_path / "model.bin"
+        HarmonizerModel(_tiny_config(kind), seed=5).save(path)
+        sidecar = json.loads((tmp_path / "model.bin.json").read_text())
+        sidecar[field] = value
+        (tmp_path / "model.bin.json").write_text(json.dumps(sidecar))
+        with pytest.raises(ParseError, match=field):
+            HarmonizerModel.load(path)
 
     def test_sidecar_with_cheb_layers_still_loads(self, kind, rng, tmp_path):
         model = HarmonizerModel(_tiny_config(kind), seed=5)
@@ -181,7 +201,7 @@ class TestModelPlumbing:
         loaded, _ = HarmonizerModel.load(path)
         assert loaded.config == model.config
         m = random_connectome(rng, N)
-        assert loaded.harmonize(m, SITES[3]) == model.harmonize(m, SITES[3])
+        assert loaded.harmonize_many([m], SITES[3])[0] == model.harmonize_many([m], SITES[3])[0]
 
     def test_parameter_groups_partition(self, kind, rng):
         model = HarmonizerModel(_tiny_config(kind), seed=0)
@@ -198,7 +218,7 @@ class TestGaeShapes:
         f, laps = model.encode_batch([m])
         assert f.data.shape == (1, N, model.config.embedding_dim)
         assert laps.shape == (1, N, N)
-        assert model.encode(m).shape == (N, model.config.embedding_dim)
+        assert model.encode_batch([m])[0].data[0].shape == (N, model.config.embedding_dim)
 
     def test_reconstruction_is_symmetric_zero_diagonal(self, rng):
         model = HarmonizerModel(_tiny_config("gae"), seed=2)

@@ -1,3 +1,4 @@
+import json
 import tempfile
 from pathlib import Path
 
@@ -10,7 +11,7 @@ from scharm import CohortManifest, ConnectivityMatrix, split_cohort
 from scharm import io as sio
 from scharm import checkpoint
 from scharm.core import table1_sites
-from scharm.errors import EmptyCohort, IoError, NonIntegerEntry, ParseError
+from scharm.errors import EmptyCohort, IoError, NonIntegerEntry, ParseError, ValidationError
 from scharm.synthetic import SyntheticSiteEffect, default_cohort
 from conftest import random_connectome
 
@@ -128,6 +129,19 @@ class TestEffectAndSites:
         with pytest.raises(ParseError):
             sio.load_effect(path)
 
+    @pytest.mark.parametrize("body, error", [
+        ("[1, 2]", ParseError),
+        ('{"beta1_const": "x"}', ParseError),
+        ('{"beta1_const": 2.0, "noise_sigma": "abc"}', ParseError),
+        ('{"beta1": ["a"], "beta2": [0], "beta3": [0]}', ParseError),
+        ('{"beta1_const": 2.0, "noise_sigma": -1}', ValidationError),  # a domain check keeps its class
+    ])
+    def test_wrong_typed_effect_field(self, tmp_path, body, error):
+        path = tmp_path / "effect.json"
+        path.write_text(body)
+        with pytest.raises(error):
+            sio.load_effect(path, d=3)
+
     def test_sites_round_trip(self, tmp_path):
         path = tmp_path / "sites.json"
         sio.save_sites(table1_sites(), path)
@@ -161,6 +175,29 @@ class TestCohortRoundTrip:
         with pytest.raises(EmptyCohort):
             sio.save_cohort(CohortManifest(subjects=[], sites=table1_sites()), tmp_path / "cohort")
         assert not (tmp_path / "cohort").exists()
+
+
+    @staticmethod
+    def _edited(tmp_path, edit) -> Path:
+        manifest, _ = default_cohort(seed=1)
+        manifest.subjects = manifest.subjects[: 2 * 4]
+        path = sio.save_cohort(manifest, tmp_path / "cohort")
+        payload = json.loads(path.read_text())
+        edit(payload)
+        path.write_text(json.dumps(payload))
+        return path
+
+    @pytest.mark.parametrize("field, value", [("matrix_path", None), ("latent_path", 5), ("id", 7)])
+    def test_wrong_typed_subject_field_is_parse_error(self, tmp_path, field, value):
+        path = self._edited(tmp_path, lambda p: p["subjects"][0].update({field: value}))
+        with pytest.raises(ParseError):
+            sio.load_cohort(path)
+
+    def test_repeated_site_index_is_rejected(self, tmp_path):
+        # a second site 0: a dict keyed by index would silently keep only the last
+        path = self._edited(tmp_path, lambda p: p["sites"].append({**p["sites"][0], "b_value": 500.0}))
+        with pytest.raises(ValidationError, match="site ind"):
+            sio.load_cohort(path)
 
 
 class TestCheckpoint:

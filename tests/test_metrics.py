@@ -215,3 +215,10 @@ class TestNormalizedLaplacian:
         m = ConnectivityMatrix(np.array([[0, 1, 0], [1, 0, 0], [0, 0, 0]]))
         lap = normalized_laplacian(m)
         assert np.allclose(lap[2], [0.0, 0.0, 1.0])
+
+
+def test_nodal_strength_sums_beyond_int64():
+    # three edges of 4e18 sum past the int64 maximum (about 9.2e18)
+    big = 4 * 10**18
+    m = ConnectivityMatrix(np.full((4, 4), big, dtype=np.int64) - np.diag([big] * 4))
+    assert nodal_strength(m).values.tolist() == [3.0 * big] * 4

@@ -196,8 +196,9 @@ class TestAdaInConditioner:
     lambda rng: Dense(rng, 2, 2, norm="spectral"),
     lambda rng: Dense(rng, 2, 2, act="gelu"),
     lambda rng: ChebConv(rng, 2, 3, order=1, norm="batch"),
+    lambda rng: ChebConv(rng, 2, 3, order=1, act="gelu"),
 ], ids=["augment_site", "LinearEdgeModel", "grad_reversal", "adain", "weighted_mae_loss",
-        "sigmoid_bce", "Dense-norm", "Dense-act", "ChebConv"])
+        "sigmoid_bce", "Dense-norm", "Dense-act", "ChebConv", "ChebConv-act"])
 def test_argument_errors_are_validation_errors(call, rng):
     # a ValidationError is also a ValueError, and the CLI maps it to exit 1
     with pytest.raises(ValidationError):
