@@ -10,7 +10,7 @@ Run:  python3 demos/linear_pipeline.py
 
 import numpy as np
 
-from scharm import devectorize, fit_lr, lr_harmonize, vectorize_upper
+from scharm import fit_lr, lr_harmonize
 from scharm.core import CohortManifest, SubjectRecord, highest_quality_site, lowest_quality_site
 from scharm.evaluation import evaluate_cohorts, report_table_csv
 from scharm.synthetic import default_cohort, redraw_retest
@@ -26,7 +26,7 @@ shift = effect.offsets(low)[0] - effect.offsets(high)[0]
 print(f"injected lowest->highest offset shift: {shift:+.2f} streamlines per edge\n")
 
 # --- 2. fit the per-edge linear model ---------------------------------------
-model = fit_lr([(vectorize_upper(r.matrix), r.site) for r in cohort.subjects])
+model = fit_lr([r.matrix for r in cohort.subjects], [r.site for r in cohort.subjects])
 print(f"fitted {model.d} per-edge models; "
       f"mean |beta1| = {np.abs(model.coefficients[:, 1]).mean():.3f} "
       f"(true {effect.beta1[0]:g})")
@@ -34,9 +34,8 @@ print(f"fitted {model.d} per-edge models; "
 # --- 3. harmonize lowest -> highest ------------------------------------------
 lows = cohort.records(site_index=low.site_index)
 harmonized = CohortManifest(sites=cohort.sites, subjects=[
-    SubjectRecord(subject_id=r.subject_id, site=high, matrix=devectorize(
-        lr_harmonize(vectorize_upper(r.matrix), low, high, model), cohort.n_nodes))
-    for r in lows
+    SubjectRecord(subject_id=r.subject_id, site=high, matrix=m)
+    for r, m in zip(lows, lr_harmonize([r.matrix for r in lows], low, high, model))
 ])
 
 # --- 4. bracket between the bounds -------------------------------------------

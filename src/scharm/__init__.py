@@ -8,7 +8,6 @@ with a synthetic ground-truth cohort generator and a full evaluation battery.
 from .core import (
     CohortManifest,
     ConnectivityMatrix,
-    EdgeVector,
     SiteDescriptor,
     SubjectRecord,
     devectorize,

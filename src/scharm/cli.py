@@ -7,6 +7,7 @@ log line per event goes to standard error; all data outputs are CSV/JSON.
 from __future__ import annotations
 
 import argparse
+import functools
 import logging
 import sys
 from pathlib import Path
@@ -16,17 +17,9 @@ from . import evaluation as ev
 from . import io as sio
 from . import linear
 from . import metrics as gm
-from .core import (
-    CohortManifest,
-    SubjectRecord,
-    devectorize,
-    highest_quality_site,
-    lowest_quality_site,
-    split_cohort,
-    vectorize_upper,
-)
+from .core import CohortManifest, SubjectRecord, highest_quality_site, lowest_quality_site, split_cohort
 from .deep import ArchitectureConfig, HarmonizerModel, TrainingConfig, export_embeddings, train
-from .errors import EmptyCohort, IoError, ParseError, ScharmError, ValidationError
+from .errors import DimensionMismatch, EmptyCohort, IoError, ParseError, ScharmError, ValidationError
 from .synthetic import generate_synthetic_cohort, redraw_retest
 
 log = logging.getLogger("scharm")
@@ -38,6 +31,7 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
+@functools.cache  # built once per process: parse_args does not change the parser
 def _build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="scharm", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -160,14 +154,10 @@ def _cmd_metrics(args) -> int:
     return 0
 
 
-def _training_observations(manifest: CohortManifest):
-    split = "train" if manifest.split_labels else None
-    return [(vectorize_upper(r.matrix), r.site) for r in manifest.records(split=split)]
-
-
 def _cmd_fit_lr(args) -> int:
     manifest = sio.load_cohort(args.manifest)
-    model = linear.fit_lr(_training_observations(manifest))
+    records = manifest.records(split="train" if manifest.split_labels else None)
+    model = linear.fit_lr([r.matrix for r in records], [r.site for r in records])
     sio.write_text(args.out, linear.model_to_csv(model))
     log.info("event=fit-lr edges=%d out=%s", model.d, args.out)
     return 0
@@ -185,7 +175,10 @@ def _cmd_train(args) -> int:
         if not isinstance(overrides, dict):
             raise ParseError(f"{args.config}: expected a JSON object of config fields")
         config = ArchitectureConfig.from_dict({**config.to_dict(), **overrides})
+    if config.n_nodes != manifest.n_nodes:
+        raise DimensionMismatch(f"config n_nodes {config.n_nodes}, cohort n_nodes {manifest.n_nodes}")
     model = HarmonizerModel(config, seed=args.seed)
+    model._one_hot([s.site_index for s in manifest.sites])  # UnknownSite before --out-dir exists
     hyper = TrainingConfig(epochs=args.epochs, seed=args.seed)
     if args.augment > 0:
         manifest = aug.augment_cohort(manifest, args.augment, seed=args.seed)
@@ -211,11 +204,7 @@ def _cmd_harmonize(args) -> int:
         raise EmptyCohort(f"site {source_idx} has no records to harmonize")
     if args.method == "lr":
         model = linear.model_from_csv(sio.read_text(args.model), manifest.n_nodes)
-        harmonized = [
-            devectorize(linear.lr_harmonize(vectorize_upper(rec.matrix), source, target, model),
-                        manifest.n_nodes)
-            for rec in records
-        ]
+        harmonized = linear.lr_harmonize([r.matrix for r in records], source, target, model)
     else:
         model, _ = HarmonizerModel.load(args.model)
         if model.config.kind != args.method:

@@ -17,6 +17,7 @@ import numpy as np
 
 from .errors import (
     AsymmetricMatrix,
+    DimensionMismatch,
     EmptyCohort,
     LengthMismatch,
     NegativeEntry,
@@ -96,27 +97,6 @@ class ConnectivityMatrix:
 
     def __hash__(self):
         return hash((self.n, self.values.tobytes()))
-
-
-@dataclass(frozen=True)
-class EdgeVector:
-    """Upper-triangle edge values of an n-node matrix, length (n^2 - n) / 2."""
-
-    n: int
-    values: np.ndarray
-
-    def __post_init__(self):
-        values = np.asarray(self.values, dtype=np.float64).copy()
-        if values.ndim != 1 or values.size != edge_count(self.n):
-            raise LengthMismatch(
-                f"edge vector for n={self.n} must have length {edge_count(self.n)}, got {values.size}"
-            )
-        values.setflags(write=False)
-        object.__setattr__(self, "values", values)
-
-    @property
-    def d(self) -> int:
-        return self.values.size
 
 
 @dataclass(frozen=True)
@@ -243,28 +223,37 @@ def _upper_indices(n: int) -> tuple[np.ndarray, np.ndarray]:
     return rows, cols
 
 
-def vectorize_upper(m: ConnectivityMatrix) -> EdgeVector:
-    """Flatten the strict upper triangle in row-major order."""
-    return EdgeVector(n=m.n, values=m.values[_upper_indices(m.n)].astype(np.float64))
+def vectorize_upper(m: ConnectivityMatrix) -> np.ndarray:
+    """Flatten the strict upper triangle in row-major order into a float64 row."""
+    return m.values[_upper_indices(m.n)].astype(np.float64)
 
 
 def vectorize_many(matrices: list[ConnectivityMatrix]) -> np.ndarray:
-    """Edge vectors of equally sized matrices as rows of a (B, (n^2 - n) / 2) float array."""
+    """Edge vectors of equally sized matrices as rows of a (B, (n^2 - n) / 2) float array;
+    DimensionMismatch if the node counts differ."""
     if not matrices:
         raise EmptyCohort("no matrices to vectorize")
+    if len({m.n for m in matrices}) > 1:
+        raise DimensionMismatch("matrices mix node counts")
     iu = _upper_indices(matrices[0].n)
     return np.stack([m.values[iu] for m in matrices]).astype(np.float64)
 
 
-def devectorize(v: EdgeVector | np.ndarray, n: int) -> ConnectivityMatrix:
+def devectorize(v: np.ndarray, n: int) -> ConnectivityMatrix:
     """Rebuild a symmetric zero-diagonal matrix from an upper-triangle vector."""
-    values = v.values if isinstance(v, EdgeVector) else np.asarray(v, dtype=np.float64)
+    values = np.asarray(v, dtype=np.float64)
     if values.size != edge_count(n):
         raise LengthMismatch(f"need {edge_count(n)} values for n={n}, got {values.size}")
     out = np.zeros((n, n))
     out[_upper_indices(n)] = values
     out = out + out.T
     return ConnectivityMatrix(out)
+
+
+def round_counts(values: np.ndarray) -> np.ndarray:
+    """Streamline counts from predicted edge values: negatives clamp to zero,
+    the rest round half up (float64 in, whole float64 values out)."""
+    return np.floor(np.maximum(values, 0.0) + 0.5)
 
 
 def split_cohort(manifest: CohortManifest, ratios: tuple[float, float, float], seed: int) -> CohortManifest:

@@ -36,6 +36,7 @@ from .core import (
     highest_quality_site,
     lowest_quality_site,
     pair_by_subject,
+    round_counts,
     substream,
     vectorize_many,
 )
@@ -50,7 +51,6 @@ from .errors import (
 )
 from .evaluation import fingerprint_accuracy, pairwise_distances
 from .io import read_json, write_text
-from .linear import round_half_away
 from .metrics import normalized_laplacian
 from .nn import AdaInConditioner, ChebConv, Dense, MLP, Module, UnitNorm
 
@@ -287,10 +287,10 @@ class HarmonizerModel(Module):
 
     def _postprocess(self, raw: np.ndarray) -> ConnectivityMatrix:
         if self.config.kind == "fae":
-            return devectorize(round_half_away(np.maximum(raw, 0.0)), self.config.n_nodes)
+            return devectorize(round_counts(raw), self.config.n_nodes)
         sym = (raw + raw.T) / 2.0
         np.fill_diagonal(sym, 0.0)
-        return ConnectivityMatrix(round_half_away(np.maximum(sym, 0.0)))
+        return ConnectivityMatrix(round_counts(sym))
 
     def harmonize_many(self, matrices: list[ConnectivityMatrix],
                        target_site: SiteDescriptor) -> list[ConnectivityMatrix]:

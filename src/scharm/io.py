@@ -139,11 +139,17 @@ def _site_to_dict(s: SiteDescriptor) -> dict:
     return {"site_index": s.site_index, "b_value": s.b_value, "resolution": s.resolution}
 
 
+def _site_index(value) -> int:
+    if type(value) is not int:  # a JSON float, bool or string is no site index
+        raise TypeError(f"site_index {value!r} is not an integer")
+    return value
+
+
 def _site_from_dict(s: dict) -> SiteDescriptor:
     return SiteDescriptor(
         b_value=float(s["b_value"]),
         resolution=float(s["resolution"]),
-        site_index=int(s["site_index"]),
+        site_index=_site_index(s["site_index"]),
     )
 
 
@@ -209,7 +215,7 @@ def load_cohort(manifest_path) -> CohortManifest:
             if not isinstance(e["id"], str):
                 raise TypeError(f"subject id {e['id']!r} is not a string")
             latent = e.get("latent_path")
-            entries.append((e, e["id"], sites[int(e["site_index"])], base / e["matrix_path"],
+            entries.append((e, e["id"], sites[_site_index(e["site_index"])], base / e["matrix_path"],
                             base / latent if latent else None))
         seed = int(payload.get("seed", 0))
     except (KeyError, TypeError, ValueError) as e:

@@ -4,9 +4,10 @@ Each upper-triangle edge is modeled independently as
 
     s = b0 + b1*X_r + b2*X_b + b3*X_r*X_b + noise
 
-fit by ordinary least squares across all (subject, site) observations.
+fit by ordinary least squares across all (matrix, site) observations.
 Harmonization applies the additive covariate adjustment between source and
-target sites, then clamps negatives to zero and rounds to integers.
+target sites to each matrix, then clamps negatives to zero and rounds to
+streamline counts. Both take lists of matrices, as the deep models do.
 """
 
 from __future__ import annotations
@@ -15,7 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import EdgeVector, SiteDescriptor, edge_count
+from .core import (ConnectivityMatrix, SiteDescriptor, devectorize, edge_count, round_counts,
+                   vectorize_many)
 from .errors import (
     DimensionMismatch,
     ParseError,
@@ -29,16 +31,13 @@ from .errors import (
 class LinearEdgeModel:
     """Fitted coefficients [b0, b1, b2, b3] per edge plus residual variances."""
 
-    n_nodes: int
     coefficients: np.ndarray  # (D, 4)
     residual_variance: np.ndarray  # (D,)
 
     def __post_init__(self):
-        d = edge_count(self.n_nodes)
+        d = self.residual_variance.size
         if self.coefficients.shape != (d, 4):
-            raise DimensionMismatch(
-                f"coefficients must be ({d}, 4) for n={self.n_nodes}, got {self.coefficients.shape}"
-            )
+            raise DimensionMismatch(f"coefficients must be ({d}, 4), got {self.coefficients.shape}")
         if not np.all(np.isfinite(self.coefficients)):
             raise ValidationError("non-finite coefficients")
 
@@ -47,24 +46,23 @@ class LinearEdgeModel:
         return self.coefficients.shape[0]
 
 
-def fit_lr(cohort: list[tuple[EdgeVector, SiteDescriptor]]) -> LinearEdgeModel:
-    """OLS fit of the per-edge acquisition model over all observations."""
-    if len(cohort) < 4:
-        raise TooFewObservations(f"need >= 4 observations, got {len(cohort)}")
-    n = cohort[0][0].n
-    if any(v.n != n for v, _ in cohort):
-        raise DimensionMismatch("edge vectors disagree on node count")
-    design = np.stack([site.covariates() for _, site in cohort])  # (obs, 4)
+def fit_lr(matrices: list[ConnectivityMatrix], sites: list[SiteDescriptor]) -> LinearEdgeModel:
+    """OLS fit of the per-edge acquisition model; matrices[i] was observed at sites[i]."""
+    if len(matrices) != len(sites):
+        raise DimensionMismatch(f"{len(matrices)} matrices but {len(sites)} sites")
+    if len(matrices) < 4:
+        raise TooFewObservations(f"need >= 4 observations, got {len(matrices)}")
+    y = vectorize_many(matrices)  # (obs, D)
+    design = np.stack([site.covariates() for site in sites])  # (obs, 4)
     rank = np.linalg.matrix_rank(design)
     if rank < 4:
         raise RankDeficientDesign(rank)
-    y = np.stack([v.values for v, _ in cohort])  # (obs, D)
     q, r = np.linalg.qr(design)
     beta = np.linalg.solve(r, q.T @ y)  # (4, D)
     residuals = y - design @ beta
-    dof = max(len(cohort) - 4, 1)
+    dof = max(len(matrices) - 4, 1)
     resvar = (residuals**2).sum(axis=0) / dof
-    return LinearEdgeModel(n_nodes=n, coefficients=beta.T.copy(), residual_variance=resvar)
+    return LinearEdgeModel(coefficients=beta.T.copy(), residual_variance=resvar)
 
 
 def coefficient_standard_errors(model: LinearEdgeModel, sites: list[SiteDescriptor]) -> np.ndarray:
@@ -75,25 +73,20 @@ def coefficient_standard_errors(model: LinearEdgeModel, sites: list[SiteDescript
     return np.sqrt(np.outer(model.residual_variance, np.diagonal(xtx_inv)))
 
 
-def round_half_away(values: np.ndarray) -> np.ndarray:
-    """Round half away from zero (ties at .5 go up for nonnegative values)."""
-    return np.sign(values) * np.floor(np.abs(values) + 0.5)
-
-
-def lr_harmonize(
-    v: EdgeVector, source: SiteDescriptor, target: SiteDescriptor, model: LinearEdgeModel
-) -> EdgeVector:
-    """Shift an edge vector from the source to the target acquisition protocol."""
-    if v.d != model.d:
-        raise DimensionMismatch(f"edge vector length {v.d} != model D {model.d}")
+def lr_harmonize(matrices: list[ConnectivityMatrix], source: SiteDescriptor, target: SiteDescriptor,
+                 model: LinearEdgeModel) -> list[ConnectivityMatrix]:
+    """Shift matrices from the source to the target acquisition protocol."""
+    rows = vectorize_many(matrices)
+    if rows.shape[1] != model.d:
+        raise DimensionMismatch(f"edge vector length {rows.shape[1]} != model D {model.d}")
     b = model.coefficients
     adjusted = (
-        v.values
+        rows
         + b[:, 1] * (target.resolution - source.resolution)
         + b[:, 2] * (target.b_value - source.b_value)
         + b[:, 3] * (target.resolution * target.b_value - source.resolution * source.b_value)
     )
-    return EdgeVector(n=v.n, values=round_half_away(np.maximum(adjusted, 0.0)))
+    return [devectorize(row, matrices[0].n) for row in round_counts(adjusted)]
 
 
 _HEADER = "edge_index,beta0,beta1,beta2,beta3,residual_variance"
@@ -138,5 +131,4 @@ def model_from_csv(text: str, n_nodes: int) -> LinearEdgeModel:
     bad = np.flatnonzero(~np.isfinite(rows).all(axis=1))
     if bad.size:
         raise ParseError(f"LR model: non-finite value for edge index {bad[0]}")
-    return LinearEdgeModel(n_nodes=n_nodes, coefficients=rows[:, :4].copy(),
-                           residual_variance=rows[:, 4].copy())
+    return LinearEdgeModel(coefficients=rows[:, :4].copy(), residual_variance=rows[:, 4].copy())

@@ -23,6 +23,7 @@ from .core import (
     SubjectRecord,
     devectorize,
     edge_count,
+    round_counts,
     substream,
     table1_sites,
     vectorize_upper,
@@ -95,9 +96,8 @@ def _observe(latent_edges: np.ndarray, offsets: np.ndarray, sigma: float, rng) -
     noisy = latent_edges + offsets
     if sigma > 0:
         noisy = noisy + rng.normal(0.0, sigma, size=latent_edges.shape)
-    clipped = np.maximum(noisy, 0.0)
     n = int(round((1 + np.sqrt(1 + 8 * latent_edges.size)) / 2))
-    return devectorize(np.floor(clipped + 0.5), n)
+    return devectorize(round_counts(noisy), n)
 
 
 def _draw_latent(n_nodes: int, density: float, rng) -> ConnectivityMatrix:
@@ -146,7 +146,7 @@ def generate_synthetic_cohort(
     for i in range(n_subjects):
         sid = f"sub{i:04d}"
         latent = _draw_latent(n_nodes, density, substream(seed, "latent", i))
-        latent_edges = vectorize_upper(latent).values
+        latent_edges = vectorize_upper(latent)
         for site in sites:
             rng = substream(seed, "observe", i, site.site_index)
             observed = _observe(latent_edges, offsets[site.site_index], effect.noise_sigma, rng)
@@ -183,7 +183,7 @@ def redraw_retest(
     for sid in subject_ids:
         if sid not in by_id:
             raise ValidationError(f"subject {sid} has no latent ground truth")
-        latent_edges = vectorize_upper(by_id[sid]).values
+        latent_edges = vectorize_upper(by_id[sid])
         rng = substream(seed, "retest", sid, site.site_index)
         observed = _observe(latent_edges, offsets, effect.noise_sigma, rng)
         out.append(

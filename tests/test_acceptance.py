@@ -11,7 +11,7 @@ import time
 import numpy as np
 import pytest
 
-from scharm import devectorize, vectorize_upper
+from scharm import vectorize_upper
 from scharm import io as sio
 from scharm.augment import augment_cohort, augment_site, mixup_pair
 from scharm.autodiff import (
@@ -70,8 +70,8 @@ N = 32
 D = edge_count(N)
 
 
-def _observations(manifest):
-    return [(vectorize_upper(r.matrix), r.site) for r in manifest.subjects]
+def _fit(manifest):
+    return fit_lr([r.matrix for r in manifest.subjects], [r.site for r in manifest.subjects])
 
 
 def _lowest_highest_pairs(manifest):
@@ -88,13 +88,13 @@ def test_criterion_01_lr_exact_recovery():
     t0 = time.monotonic()
     effect = SyntheticSiteEffect.constant(D, beta1=20.0, beta2=0.002, beta3=0.02, noise_sigma=0.0)
     manifest = generate_synthetic_cohort(N, 64, SITES, effect, density=0.5, seed=5)
-    model = fit_lr(_observations(manifest))
+    model = _fit(manifest)
     assert np.abs(model.coefficients[:, 1] - 20.0).max() < 1e-9
     assert np.abs(model.coefficients[:, 2] - 0.002).max() < 1e-9
     assert np.abs(model.coefficients[:, 3] - 0.02).max() < 1e-9
     # the intercept absorbs the cohort-mean latent connectome
     latents = np.stack([
-        vectorize_upper(r.latent_truth).values
+        vectorize_upper(r.latent_truth)
         for r in manifest.subjects if r.site.site_index == 0
     ])
     assert np.abs(model.coefficients[:, 0] - latents.mean(axis=0)).max() < 1e-9
@@ -104,9 +104,8 @@ def test_criterion_01_lr_exact_recovery():
 def test_criterion_02_lr_noisy_recovery_within_3_se():
     effect = SyntheticSiteEffect.constant(D, beta1=2.0, beta2=0.004, beta3=0.0, noise_sigma=2.0)
     manifest = generate_synthetic_cohort(N, 400, SITES, effect, density=0.5, seed=6)
-    obs = _observations(manifest)
-    model = fit_lr(obs)
-    se = coefficient_standard_errors(model, [s for _, s in obs])
+    model = _fit(manifest)
+    se = coefficient_standard_errors(model, [r.site for r in manifest.subjects])
     truth = np.array([2.0, 0.004, 0.0])
     within = np.abs(model.coefficients[:, 1:4] - truth[None, :]) <= 3.0 * se[:, 1:4]
     coverage = within.all(axis=1).mean()
@@ -115,11 +114,9 @@ def test_criterion_02_lr_noisy_recovery_within_3_se():
 
 def test_criterion_03_lr_harmonization_halves_mae():
     manifest, _ = default_cohort(seed=0)
-    model = fit_lr(_observations(manifest))
+    model = _fit(manifest)
     low, high, lows, targets = _lowest_highest_pairs(manifest)
-    harmonized = [
-        devectorize(lr_harmonize(vectorize_upper(r.matrix), low, high, model), N) for r in lows
-    ]
+    harmonized = lr_harmonize([r.matrix for r in lows], low, high, model)
     lr_mae = edge_metrics(harmonized, targets)["MAE"][0]
     raw_mae = edge_metrics([r.matrix for r in lows], targets)["MAE"][0]
     assert lr_mae <= 0.5 * raw_mae, f"LR {lr_mae:.4f} vs raw {raw_mae:.4f}"
@@ -324,9 +321,9 @@ def test_criterion_10_augmentation_fidelity():
     while checked < 10**5:
         i, j = rng.choice(len(parents), size=2, replace=False)
         child = mixup_pair(parents[i], parents[j], seed=int(rng.integers(1 << 30)))
-        va = vectorize_upper(parents[i]).values
-        vb = vectorize_upper(parents[j]).values
-        vc = vectorize_upper(child).values
+        va = vectorize_upper(parents[i])
+        vb = vectorize_upper(parents[j])
+        vc = vectorize_upper(child)
         assert np.all((vc == va) | (vc == vb))
         checked += vc.size
     assert checked >= 10**5
@@ -366,13 +363,11 @@ def test_criterion_11_cli_determinism(tmp_path):
 
 def test_criterion_12_bounds_ordering():
     manifest, effect = default_cohort(seed=0)
-    model = fit_lr(_observations(manifest))
+    model = _fit(manifest)
     low, high, lows, targets = _lowest_highest_pairs(manifest)
 
     lower_mae = edge_metrics([r.matrix for r in lows], targets)["MAE"][0]
-    harmonized = [
-        devectorize(lr_harmonize(vectorize_upper(r.matrix), low, high, model), N) for r in lows
-    ]
+    harmonized = lr_harmonize([r.matrix for r in lows], low, high, model)
     lr_mae = edge_metrics(harmonized, targets)["MAE"][0]
     retest = redraw_retest(manifest, effect, high, [r.subject_id for r in lows], seed=1)
     upper_mae = edge_metrics(targets, [r.matrix for r in retest])["MAE"][0]

@@ -19,8 +19,8 @@ class TestMixupPair:
         a = random_connectome(rng, 10)
         b = random_connectome(rng, 10)
         child = mixup_pair(a, b, seed=4)
-        va, vb = vectorize_upper(a).values, vectorize_upper(b).values
-        vc = vectorize_upper(child).values
+        va, vb = vectorize_upper(a), vectorize_upper(b)
+        vc = vectorize_upper(child)
         assert np.all((vc == va) | (vc == vb))
 
     def test_uses_both_parents(self, rng):
@@ -35,7 +35,7 @@ class TestMixupPair:
 
         c = ConnectivityMatrix(c2)
         child = mixup_pair(a, c, seed=1)
-        vc = vectorize_upper(child).values
+        vc = vectorize_upper(child)
         assert (vc == 1).any() and (vc == 2).any()
 
     def test_deterministic(self, rng):
@@ -51,11 +51,11 @@ class TestMixupPair:
 class TestAugmentSite:
     def test_count_and_membership(self, rng):
         parents = [random_connectome(rng, 8) for _ in range(5)]
-        vectors = np.stack([vectorize_upper(p).values for p in parents])
+        vectors = np.stack([vectorize_upper(p) for p in parents])
         out = augment_site(parents, count=20, seed=2)
         assert len(out) == 20
         for child in out:
-            vc = vectorize_upper(child).values
+            vc = vectorize_upper(child)
             # each edge value appears in at least one parent at that edge
             assert np.all((vectors == vc[None, :]).any(axis=0))
 

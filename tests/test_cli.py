@@ -369,7 +369,41 @@ class TestRejectedBeforeOutput:
         assert run(["train", "--manifest", _two_site_cohort(tmp_path, (0, 5)), "--arch", "fae",
                     "--config", str(_tiny_fae_config(tmp_path)), "--epochs", "1",
                     "--out-dir", str(model_dir)]) == 1
-        assert not (model_dir / "model.bin").exists()
+        assert not model_dir.exists()
+
+    @pytest.mark.parametrize("override, error", [({"n_nodes": 5}, "DimensionMismatch"),
+                                                 ({"n_sites": 2}, "UnknownSite")])
+    def test_train_with_a_config_that_does_not_fit_the_cohort(self, tmp_path, cohort_dir,
+                                                              override, error):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({**json.loads(_tiny_fae_config(tmp_path).read_text()), **override}))
+        proc = _run_cli(["train", "--manifest", cohort_dir / "manifest.json", "--arch", "fae",
+                         "--config", cfg, "--epochs", "1", "--out-dir", tmp_path / "model"])
+        assert proc.returncode == 1, proc.stderr
+        assert "Traceback" not in proc.stderr and error in proc.stderr
+        assert not (tmp_path / "model").exists()
+
+    @pytest.mark.parametrize("value", [2.5, True, "2"])
+    @pytest.mark.parametrize("where", ["subject", "manifest-sites", "sites-file"])
+    def test_a_site_index_that_is_not_an_integer(self, tmp_path, cohort_dir, where, value):
+        # each value once truncated to a site that exists (2, 1, 2) and loaded
+        at = int(value)
+        if where == "sites-file":
+            sites = json.loads((tmp_path / "sites.json").read_text())
+            sites[at]["site_index"] = value
+            (tmp_path / "bad_sites.json").write_text(json.dumps(sites))
+            argv = ["generate", "--nodes", "10", "--subjects", "16",
+                    "--sites-file", str(tmp_path / "bad_sites.json"),
+                    "--effect-file", str(tmp_path / "effect.json"), "--out-dir", str(tmp_path / "out")]
+        else:
+            payload = json.loads((cohort_dir / "manifest.json").read_text())
+            entry = payload["subjects"][0] if where == "subject" else payload["sites"][at]
+            entry["site_index"] = value
+            bad = cohort_dir / "bad.json"  # next to the matrices it points at
+            bad.write_text(json.dumps(payload))
+            argv = ["fit-lr", "--manifest", str(bad), "--out", str(tmp_path / "out")]
+        assert run(argv) == 1
+        assert not (tmp_path / "out").exists()
 
     def test_harmonize_to_a_site_the_model_lacks(self, tmp_path, cohort_dir):
         model_dir = tmp_path / "model"

@@ -75,7 +75,7 @@ class TestVectorization:
 
     def test_row_major_order(self):
         m = ConnectivityMatrix(np.array([[0, 1, 2], [1, 0, 3], [2, 3, 0]]))
-        assert np.array_equal(vectorize_upper(m).values, [1.0, 2.0, 3.0])
+        assert np.array_equal(vectorize_upper(m), [1.0, 2.0, 3.0])
 
     @given(st.integers(min_value=2, max_value=12), st.integers(min_value=0, max_value=2**31))
     @settings(max_examples=50, deadline=None)
@@ -91,7 +91,7 @@ class TestVectorization:
         mats = [random_connectome(rng, 7) for _ in range(4)]
         batch = vectorize_many(mats)
         assert batch.dtype == np.float64 and batch.flags["C_CONTIGUOUS"]
-        assert np.array_equal(batch, np.stack([vectorize_upper(m).values for m in mats]))
+        assert np.array_equal(batch, np.stack([vectorize_upper(m) for m in mats]))
 
     def test_vectorize_many_empty(self):
         with pytest.raises(EmptyCohort):

@@ -82,7 +82,7 @@ class TestFingerprinting:
         from scharm import vectorize_upper
 
         expected = np.abs(
-            vectorize_upper(pred[1]).values - vectorize_upper(target[2]).values
+            vectorize_upper(pred[1]) - vectorize_upper(target[2])
         ).mean()
         assert p[1, 2] == pytest.approx(expected)
 

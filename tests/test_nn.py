@@ -187,7 +187,7 @@ class TestAdaInConditioner:
 
 @pytest.mark.parametrize("call", [
     lambda rng: augment_site([random_connectome(rng, 5)] * 2, count=0, seed=0),
-    lambda rng: LinearEdgeModel(3, np.full((3, 4), np.inf), np.zeros(3)),
+    lambda rng: LinearEdgeModel(np.full((3, 4), np.inf), np.zeros(3)),
     lambda rng: grad_reversal(Tensor(np.zeros(2)), lam=-1.0),
     lambda rng: adain(Tensor(np.zeros((1, 3, 2))), Tensor(np.ones((1, 2))), Tensor(np.zeros((1, 2))),
                       eps=0.0),

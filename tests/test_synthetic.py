@@ -79,9 +79,9 @@ class TestGeneration:
         effect = _noiseless_effect(d, b1=3.0, b2=0.002)
         manifest = generate_synthetic_cohort(n, 2, sites, effect, density=0.7, seed=5)
         for rec in manifest.subjects:
-            latent = vectorize_upper(rec.latent_truth).values
+            latent = vectorize_upper(rec.latent_truth)
             expected = np.floor(np.maximum(latent + effect.offsets(rec.site), 0.0) + 0.5)
-            assert np.array_equal(vectorize_upper(rec.matrix).values, expected)
+            assert np.array_equal(vectorize_upper(rec.matrix), expected)
 
     def test_rank_deficient_sites_rejected(self):
         # a duplicated protocol makes the four-site design rank deficient
