@@ -30,10 +30,10 @@ print("adjacency:")
 print(m.values, "\n")
 
 rows = zip(
-    nodal_strength(m).values,
-    closeness_centrality(m).values,
-    clustering_coefficient(m).values,
-    local_efficiency(m).values,
+    nodal_strength(m),
+    closeness_centrality(m),
+    clustering_coefficient(m),
+    local_efficiency(m),
 )
 print(f"{'node':>4} {'NS':>6} {'CC':>7} {'CLC':>7} {'LE':>7}")
 for i, (ns, cc, clc, le) in enumerate(rows):
@@ -43,7 +43,6 @@ print("\nthe bridge endpoints (nodes 2 and 3) have the lowest clustering:")
 print("their third 'triangle' edge runs through the weak bridge.")
 
 lap = normalized_laplacian(m)
-eig = symmetric_eigenvalues(lap)
-print(f"\nnormalized-Laplacian spectrum: {np.round(eig.eigenvalues, 4)}")
+print(f"\nnormalized-Laplacian spectrum: {np.round(symmetric_eigenvalues(lap), 4)}")
 print("the small second eigenvalue reflects the two-community structure;")
 print("spectra live in [0, 2], so L - I feeds Chebyshev graph convolutions.")

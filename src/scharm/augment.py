@@ -22,13 +22,16 @@ from .errors import DimensionMismatch, EmptyInput, InsufficientSubjects, Validat
 from . import metrics as gm
 
 
+def _mix(va: np.ndarray, vb: np.ndarray, n: int, rng: np.random.Generator) -> ConnectivityMatrix:
+    """Each edge from va or vb by a fair coin drawn from rng."""
+    mask = rng.random(va.size) < 0.5
+    return devectorize(np.where(mask, va, vb), n)
+
+
 def mixup_pair(a: ConnectivityMatrix, b: ConnectivityMatrix, seed: int) -> ConnectivityMatrix:
     """Mix two matrices with a fresh Bernoulli(0.5) edge mask."""
-    if a.n != b.n:
-        raise DimensionMismatch(f"node counts differ: {a.n} vs {b.n}")
     va, vb = vectorize_many([a, b])
-    mask = substream(seed, "mask").random(va.size) < 0.5
-    return devectorize(np.where(mask, va, vb), a.n)
+    return _mix(va, vb, a.n, substream(seed, "mask"))
 
 
 def augment_site(subjects: list[ConnectivityMatrix], count: int, seed: int) -> list[ConnectivityMatrix]:
@@ -37,16 +40,12 @@ def augment_site(subjects: list[ConnectivityMatrix], count: int, seed: int) -> l
         raise InsufficientSubjects(f"need >= 2 subjects, got {len(subjects)}")
     if count < 1:
         raise ValidationError("count must be >= 1")
-    n = subjects[0].n
-    if any(s.n != n for s in subjects):
-        raise DimensionMismatch("all subjects must share a node count")
     vectors = vectorize_many(subjects)
     out = []
     for k in range(count):
         rng = substream(seed, "draw", k)
         i, j = rng.choice(len(subjects), size=2, replace=False)
-        mask = rng.random(vectors.shape[1]) < 0.5
-        out.append(devectorize(np.where(mask, vectors[i], vectors[j]), n))
+        out.append(_mix(vectors[i], vectors[j], subjects[0].n, rng))
     return out
 
 

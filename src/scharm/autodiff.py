@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import ShapeMismatch, SpectrumOutOfRange, ValidationError
+from .errors import DimensionMismatch, SpectrumOutOfRange, ValidationError
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
@@ -54,7 +54,7 @@ class Tensor:
     def backward(self, grad=None):
         if grad is None:
             if self.data.size != 1:
-                raise ShapeMismatch("backward() without an explicit gradient needs a scalar")
+                raise DimensionMismatch("backward() without an explicit gradient needs a scalar")
             grad = np.ones_like(self.data)
         # iterative depth-first post-order: children before parents, in child order
         topo, seen = [], {id(self)}
@@ -108,9 +108,6 @@ class Tensor:
     def __sub__(self, other):
         return self + (-Tensor._lift(other))
 
-    def __rsub__(self, other):
-        return Tensor._lift(other) + (-self)
-
     def __mul__(self, other):
         other = Tensor._lift(other)
         out = Tensor(self.data * other.data, _children=(self, other))
@@ -129,9 +126,6 @@ class Tensor:
     def __truediv__(self, other):
         return self * Tensor._lift(other).pow(-1.0)
 
-    def __rtruediv__(self, other):
-        return Tensor._lift(other) * self.pow(-1.0)
-
     def pow(self, exponent: float):
         out = Tensor(self.data**exponent, _children=(self,))
         out._backward = lambda g: self._accumulate(g * exponent * self.data ** (exponent - 1.0))
@@ -144,7 +138,7 @@ class Tensor:
         def backward(g):
             a, b = self.data, other.data
             if a.ndim == 1 or b.ndim == 1:
-                raise ShapeMismatch("matmul backward requires rank >= 2 operands")
+                raise DimensionMismatch("matmul backward requires rank >= 2 operands")
             if self.requires_grad:
                 self._accumulate(_unbroadcast(np.matmul(g, np.swapaxes(b, -1, -2)), a.shape))
             if other.requires_grad:
@@ -279,7 +273,7 @@ def adain(f_e: Tensor, scale: Tensor, shift: Tensor, eps: float = 1e-5) -> Tenso
     if eps <= 0:
         raise ValidationError("eps must be > 0")
     if f_e.data.ndim != 3 or scale.data.shape != f_e.data.shape[::2] or shift.data.shape != scale.data.shape:
-        raise ShapeMismatch(
+        raise DimensionMismatch(
             f"adain shapes: f_e {f_e.data.shape}, scale {scale.data.shape}, shift {shift.data.shape}"
         )
     mu = f_e.mean(axis=1, keepdims=True)
@@ -310,9 +304,9 @@ def chebconv(
     """
     lap = l_rescaled if isinstance(l_rescaled, Tensor) else Tensor(l_rescaled)
     if x.data.ndim != 3 or theta.data.ndim != 3 or theta.data.shape[1] != x.data.shape[2]:
-        raise ShapeMismatch(f"chebconv shapes: x {x.data.shape}, theta {theta.data.shape}")
+        raise DimensionMismatch(f"chebconv shapes: x {x.data.shape}, theta {theta.data.shape}")
     if lap.data.shape[-1] != x.data.shape[1] or lap.data.shape[-2] != x.data.shape[1]:
-        raise ShapeMismatch(f"laplacian shape {lap.data.shape} does not match {x.data.shape[1]} nodes")
+        raise DimensionMismatch(f"laplacian shape {lap.data.shape} does not match {x.data.shape[1]} nodes")
     if validate_spectrum:
         check_rescaled_laplacian(lap.data)
     order = theta.data.shape[0] - 1
@@ -336,7 +330,7 @@ def weighted_mae_loss(pred: Tensor, target: np.ndarray, edge_weight: float = 2.5
     """
     target = np.asarray(target, dtype=np.float64)
     if pred.data.shape != target.shape:
-        raise ShapeMismatch(f"pred {pred.data.shape} vs target {target.shape}")
+        raise DimensionMismatch(f"pred {pred.data.shape} vs target {target.shape}")
     if edge_weight < 1:
         raise ValidationError("edge_weight must be >= 1")
     weights = np.where(target > 0, edge_weight, 1.0)
@@ -347,7 +341,7 @@ def softmax_cross_entropy(logits: Tensor, labels: np.ndarray) -> Tensor:
     """Mean categorical cross-entropy from logits; log-sum-exp stabilized."""
     labels = np.asarray(labels, dtype=np.float64)
     if logits.data.shape != labels.shape or logits.data.ndim != 2:
-        raise ShapeMismatch(f"logits {logits.data.shape} vs labels {labels.shape}")
+        raise DimensionMismatch(f"logits {logits.data.shape} vs labels {labels.shape}")
     shift = logits.data.max(axis=1, keepdims=True)  # constant under differentiation
     z = logits - Tensor(shift)
     lse = z.exp().sum(axis=1, keepdims=True).log()
@@ -359,7 +353,7 @@ def sigmoid_bce(logits: Tensor, targets: np.ndarray) -> Tensor:
     max(z, 0) - z*t + log(1 + exp(-|z|))."""
     targets = np.asarray(targets, dtype=np.float64)
     if logits.data.shape != targets.shape:
-        raise ShapeMismatch(f"logits {logits.data.shape} vs targets {targets.shape}")
+        raise DimensionMismatch(f"logits {logits.data.shape} vs targets {targets.shape}")
     if not np.all((targets == 0) | (targets == 1)):
         raise ValidationError("targets must be binary")
     softplus = ((-logits.abs()).exp() + 1.0).log()
@@ -401,7 +395,7 @@ def adam_step(state: AdamState, lr: float) -> None:
         if g is None:
             continue
         if g.shape != p.data.shape:
-            raise ShapeMismatch(f"gradient shape {g.shape} != parameter shape {p.data.shape}")
+            raise DimensionMismatch(f"gradient shape {g.shape} != parameter shape {p.data.shape}")
         flat = p.data.reshape(-1)  # a copy when p.data is not C-contiguous; written back below
         g, m, v = g.reshape(-1), m.reshape(-1), v.reshape(-1)
         for lo in range(0, flat.size, _ADAM_BLOCK):

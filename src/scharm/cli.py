@@ -17,7 +17,8 @@ from . import evaluation as ev
 from . import io as sio
 from . import linear
 from . import metrics as gm
-from .core import CohortManifest, SubjectRecord, highest_quality_site, lowest_quality_site, split_cohort
+from .core import (CohortManifest, SubjectRecord, edge_count, highest_quality_site,
+                   lowest_quality_site, split_cohort)
 from .deep import ArchitectureConfig, HarmonizerModel, TrainingConfig, export_embeddings, train
 from .errors import DimensionMismatch, EmptyCohort, IoError, ParseError, ScharmError, ValidationError
 from .synthetic import generate_synthetic_cohort, redraw_retest
@@ -96,8 +97,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _cmd_generate(args) -> int:
     sites = sio.load_sites(args.sites_file)
-    d = (args.nodes * args.nodes - args.nodes) // 2
-    effect = sio.load_effect(args.effect_file, d=d)
+    effect = sio.load_effect(args.effect_file, d=edge_count(args.nodes))
     manifest = generate_synthetic_cohort(
         n_nodes=args.nodes, n_subjects=args.subjects, sites=sites,
         effect=effect, density=args.density, seed=args.seed,

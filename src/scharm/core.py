@@ -19,7 +19,6 @@ from .errors import (
     AsymmetricMatrix,
     DimensionMismatch,
     EmptyCohort,
-    LengthMismatch,
     NegativeEntry,
     NonIntegerEntry,
     NonzeroDiagonal,
@@ -48,8 +47,9 @@ def substream(seed: int, *names) -> np.random.Generator:
 def validate_matrix(values: np.ndarray) -> np.ndarray:
     """Check all connectivity-matrix invariants; return the validated array.
 
-    Raises AsymmetricMatrix, NegativeEntry, NonzeroDiagonal or NonIntegerEntry
-    naming the first offending index (row-major scan).
+    Raises AsymmetricMatrix, NegativeEntry, NonzeroDiagonal, NonIntegerEntry, or
+    ValidationError for an entry of 2^63 or more, naming the first offending
+    index (row-major scan).
     """
     values = np.asarray(values)
     if values.ndim != 2 or values.shape[0] != values.shape[1]:
@@ -69,6 +69,11 @@ def validate_matrix(values: np.ndarray) -> np.ndarray:
     if np.any(neg):
         i, j = np.argwhere(neg)[0]
         raise NegativeEntry(int(i), int(j))
+    # float entries of 2^63 or more (+inf too) do not fit int64; float64 compares any float dtype exactly
+    big = values >= np.float64(2**63) if values.dtype.kind == "f" else False
+    if np.any(big):
+        i, j = np.argwhere(big)[0]
+        raise ValidationError(f"entry at ({i}, {j}) is 2^63 or more, beyond int64")
     diag = np.flatnonzero(np.diagonal(values))
     if diag.size:
         raise NonzeroDiagonal(int(diag[0]))
@@ -243,7 +248,7 @@ def devectorize(v: np.ndarray, n: int) -> ConnectivityMatrix:
     """Rebuild a symmetric zero-diagonal matrix from an upper-triangle vector."""
     values = np.asarray(v, dtype=np.float64)
     if values.size != edge_count(n):
-        raise LengthMismatch(f"need {edge_count(n)} values for n={n}, got {values.size}")
+        raise DimensionMismatch(f"need {edge_count(n)} values for n={n}, got {values.size}")
     out = np.zeros((n, n))
     out[_upper_indices(n)] = values
     out = out + out.T
@@ -252,8 +257,10 @@ def devectorize(v: np.ndarray, n: int) -> ConnectivityMatrix:
 
 def round_counts(values: np.ndarray) -> np.ndarray:
     """Streamline counts from predicted edge values: negatives clamp to zero,
-    the rest round half up (float64 in, whole float64 values out)."""
-    return np.floor(np.maximum(values, 0.0) + 0.5)
+    the rest round half up exactly (float64 in, whole float64 values out).
+    modf's fraction is exact, where x + 0.5 in floor(x + 0.5) can round up first."""
+    frac, whole = np.modf(np.maximum(values, 0.0))
+    return whole + (frac >= 0.5)
 
 
 def split_cohort(manifest: CohortManifest, ratios: tuple[float, float, float], seed: int) -> CohortManifest:

@@ -43,14 +43,14 @@ from .core import (
 from .errors import (
     DimensionMismatch,
     EmptyCohort,
-    EmptyHistory,
+    EmptyInput,
     NonFiniteLoss,
     ParseError,
     UnknownSite,
     ValidationError,
 )
 from .evaluation import fingerprint_accuracy, pairwise_distances
-from .io import read_json, write_text
+from .io import json_int, read_json, write_text
 from .metrics import normalized_laplacian
 from .nn import AdaInConditioner, ChebConv, Dense, MLP, Module, UnitNorm
 
@@ -288,9 +288,7 @@ class HarmonizerModel(Module):
     def _postprocess(self, raw: np.ndarray) -> ConnectivityMatrix:
         if self.config.kind == "fae":
             return devectorize(round_counts(raw), self.config.n_nodes)
-        sym = (raw + raw.T) / 2.0
-        np.fill_diagonal(sym, 0.0)
-        return ConnectivityMatrix(round_counts(sym))
+        return ConnectivityMatrix(round_counts(raw))  # decode_batch is symmetric, zero diagonal
 
     def harmonize_many(self, matrices: list[ConnectivityMatrix],
                        target_site: SiteDescriptor) -> list[ConnectivityMatrix]:
@@ -320,12 +318,12 @@ class HarmonizerModel(Module):
             sidecar["config"].pop("cheb_layers", None)  # written by earlier versions, never read
             config = ArchitectureConfig.from_dict(sidecar["config"])
             history = TrainingHistory.from_dict(sidecar["history"]) if sidecar.get("history") else None
-            seed, epoch = sidecar.get("seed", 0), sidecar.get("epoch", 0)
+            seed, epoch = (json_int(sidecar.get(name, 0), name) for name in ("seed", "epoch"))
         except (KeyError, TypeError, AttributeError) as e:
             raise ParseError(f"{path}.json: malformed sidecar: {type(e).__name__} {e}") from e
         for name, value in (("seed", seed), ("epoch", epoch)):
-            if not (isinstance(value, int) and value >= 0):
-                raise ParseError(f"{path}.json: {name} must be an integer >= 0, got {value!r}")
+            if value < 0:
+                raise ParseError(f"{path}.json: {name} must be >= 0, got {value}")
         model = cls(config, seed=seed)
         model.epoch = epoch
         model.load_state_arrays(checkpoint.load_tensors(path))
@@ -487,7 +485,7 @@ def train(model: HarmonizerModel, cohort: CohortManifest,
 def select_best_epoch(history: TrainingHistory, baseline_mae: float) -> int:
     """Epoch minimizing (val MAE / baseline MAE) - val FA; earliest tie wins."""
     if not history.records:
-        raise EmptyHistory("history has no epochs")
+        raise EmptyInput("history has no epochs")
     if baseline_mae <= 0:
         raise ValidationError("baseline_mae must be > 0")
     scores = [_epoch_score(r.val_mae, r.val_fa, baseline_mae) for r in history.records]

@@ -33,15 +33,7 @@ class NonIntegerEntry(ValidationError):
         super().__init__(f"non-integer entry at ({i}, {j})")
 
 
-class LengthMismatch(ValidationError):
-    pass
-
-
 class DimensionMismatch(ValidationError):
-    pass
-
-
-class ShapeMismatch(ValidationError):
     pass
 
 
@@ -88,10 +80,6 @@ class NonFiniteLoss(ScharmError):
         self.epoch = epoch
         self.batch = batch
         super().__init__(f"non-finite loss at epoch {epoch}, batch {batch}")
-
-
-class EmptyHistory(ValidationError):
-    pass
 
 
 class ParseError(ScharmError):

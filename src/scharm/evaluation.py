@@ -78,7 +78,7 @@ def topology_metrics(pred: list[ConnectivityMatrix], target: list[ConnectivityMa
     missing = list(dict.fromkeys(m for m in pred + target if m not in topology))
     for m, profile in zip(missing, gm.nodal_profiles_many(missing)):
         # NS, CC, CLC, LE per node and the ascending eigenvalues
-        topology[m] = {**profile, "EV": gm.symmetric_eigenvalues(m.values.astype(float)).eigenvalues}
+        topology[m] = {**profile, "EV": gm.symmetric_eigenvalues(m.values.astype(float))}
     per_subject: dict[str, list[float]] = {name: [] for name in TOPOLOGY_METRICS}
     for p, t in zip(pred, target):
         for name in TOPOLOGY_METRICS:
@@ -187,12 +187,8 @@ def normalized_report(reports: list[MetricReport]) -> str:
     normalized = {}
     degenerate = []
     for name, vals in values.items():
-        if np.all(np.isnan(vals)):
-            normalized[name] = np.full(len(reports), 0.5)
-            degenerate.append(name)
-            continue
-        lo, hi = np.nanmin(vals), np.nanmax(vals)
-        if hi - lo == 0:
+        lo, hi = np.fmin.reduce(vals), np.fmax.reduce(vals)  # nanmin/nanmax, NaN when all are
+        if np.isnan(lo) or hi - lo == 0:
             normalized[name] = np.full(len(reports), 0.5)
             degenerate.append(name)
             continue

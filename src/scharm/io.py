@@ -139,9 +139,10 @@ def _site_to_dict(s: SiteDescriptor) -> dict:
     return {"site_index": s.site_index, "b_value": s.b_value, "resolution": s.resolution}
 
 
-def _site_index(value) -> int:
-    if type(value) is not int:  # a JSON float, bool or string is no site index
-        raise TypeError(f"site_index {value!r} is not an integer")
+def json_int(value, name: str) -> int:
+    """A JSON integer field's value; TypeError for a float, bool, string or anything else."""
+    if type(value) is not int:
+        raise TypeError(f"{name} {value!r} is not an integer")
     return value
 
 
@@ -149,7 +150,7 @@ def _site_from_dict(s: dict) -> SiteDescriptor:
     return SiteDescriptor(
         b_value=float(s["b_value"]),
         resolution=float(s["resolution"]),
-        site_index=_site_index(s["site_index"]),
+        site_index=json_int(s["site_index"], "site_index"),
     )
 
 
@@ -170,7 +171,8 @@ def save_cohort(manifest: CohortManifest, out_dir) -> Path:
     n_nodes = manifest.n_nodes  # an empty cohort fails here, before any directory exists
     out_dir = Path(out_dir)
     make_dir(out_dir / "matrices")
-    latent_dir = out_dir / "latents"
+    if any(rec.latent_truth is not None for rec in manifest.subjects):
+        make_dir(out_dir / "latents")
     subjects = []
     latent_saved = set()
     for rec in manifest.subjects:
@@ -186,7 +188,6 @@ def save_cohort(manifest: CohortManifest, out_dir) -> Path:
         if rec.latent_truth is not None:
             lpath = f"latents/{rec.subject_id}.csv"
             if rec.subject_id not in latent_saved:
-                make_dir(latent_dir)
                 save_matrix(rec.latent_truth, out_dir / lpath)
                 latent_saved.add(rec.subject_id)
             entry["latent_path"] = lpath
@@ -211,18 +212,22 @@ def load_cohort(manifest_path) -> CohortManifest:
         site_list = sorted(map(_site_from_dict, payload["sites"]), key=lambda s: s.site_index)
         sites = {s.site_index: s for s in site_list}
         entries = []
+        splits = {}  # one per subject: a record that disagrees is an error, not overwritten
         for e in payload["subjects"]:
             if not isinstance(e["id"], str):
                 raise TypeError(f"subject id {e['id']!r} is not a string")
+            split = e.get("split")
+            if splits.setdefault(e["id"], split) != split:
+                raise ParseError(f"{manifest_path}: subject {e['id']} has records in splits "
+                                 f"{splits[e['id']]!r} and {split!r}")
             latent = e.get("latent_path")
-            entries.append((e, e["id"], sites[_site_index(e["site_index"])], base / e["matrix_path"],
-                            base / latent if latent else None))
-        seed = int(payload.get("seed", 0))
+            entries.append((e, e["id"], sites[json_int(e["site_index"], "site_index")],
+                            base / e["matrix_path"], base / latent if latent else None))
+        seed = json_int(payload.get("seed", 0), "seed")
     except (KeyError, TypeError, ValueError) as e:
         raise ParseError(f"{manifest_path}: malformed manifest: {type(e).__name__} {e}") from e
     latent_cache: dict[Path, ConnectivityMatrix] = {}
     records = []
-    split_labels = {}
     for entry, sid, site, matrix_path, latent_path in entries:
         if latent_path is not None and latent_path not in latent_cache:
             latent_cache[latent_path] = load_matrix(latent_path)
@@ -235,6 +240,5 @@ def load_cohort(manifest_path) -> CohortManifest:
                 latent_truth=latent_cache.get(latent_path),
             )
         )
-        if entry.get("split"):
-            split_labels[sid] = entry["split"]
+    split_labels = {sid: split for sid, split in splits.items() if split}
     return CohortManifest(subjects=records, sites=site_list, split_labels=split_labels, seed=seed)

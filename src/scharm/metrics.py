@@ -13,12 +13,10 @@ adjacency pattern, so `nodal_profiles_many` walks it once for a stack of
 matrices sharing one pattern, byte for byte what each matrix gets alone: a
 stack gets the same elementwise operations, and each per-leaf sum runs over a
 C-contiguous (M, k, k) array, which adds in the order of a lone (k, k) one.
-Spectra come from a symmetric eigendecomposition (LAPACK eigh).
+Spectra are the eigenvalues of a symmetric eigendecomposition (LAPACK eigh).
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,23 +24,9 @@ from .core import ConnectivityMatrix
 from .errors import NotSymmetric
 
 
-@dataclass(frozen=True)
-class NodalProfile:
-    metric_id: str
-    values: np.ndarray
-
-
-@dataclass(frozen=True)
-class EigenDecomposition:
-    """Eigenvalues ascending; eigenvectors as orthonormal columns."""
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
-
-
-def nodal_strength(m: ConnectivityMatrix) -> NodalProfile:
+def nodal_strength(m: ConnectivityMatrix) -> np.ndarray:
     """NS(i) = sum of incident edge weights."""
-    return NodalProfile("NS", m.values.sum(axis=1, dtype=np.float64))
+    return m.values.sum(axis=1, dtype=np.float64)
 
 
 def _relax(d: np.ndarray, vertices) -> None:
@@ -66,24 +50,23 @@ def shortest_path_distances(m: ConnectivityMatrix) -> np.ndarray:
     return d
 
 
-def closeness_centrality(m: ConnectivityMatrix) -> NodalProfile:
+def closeness_centrality(m: ConnectivityMatrix) -> np.ndarray:
     """CC(i) = (#reachable others) / (sum of distances to them); 0 if isolated."""
     dist = shortest_path_distances(m)
     np.fill_diagonal(dist, np.inf)
     reachable = np.isfinite(dist)
     count = reachable.sum(axis=1)
     total = np.where(reachable, dist, 0.0).sum(axis=1)
-    values = np.divide(count, total, out=np.zeros(m.n), where=count > 0)
-    return NodalProfile("CC", values)
+    return np.divide(count, total, out=np.zeros(m.n), where=count > 0)
 
 
-def clustering_coefficient(m: ConnectivityMatrix) -> NodalProfile:
+def clustering_coefficient(m: ConnectivityMatrix) -> np.ndarray:
     """Onnela clustering: geometric-mean triangle intensity, weights / max weight."""
     w = m.values.astype(np.float64)
     n = m.n
     wmax = w.max()
     if wmax == 0:
-        return NodalProfile("CLC", np.zeros(n))
+        return np.zeros(n)
     cbrt = np.cbrt(w / wmax)
     # trace(cbrt^3)_ii = 2 * sum over triangles through i of the cube-rooted product
     tri = np.diagonal(cbrt @ cbrt @ cbrt)
@@ -91,10 +74,10 @@ def clustering_coefficient(m: ConnectivityMatrix) -> NodalProfile:
     values = np.zeros(n)
     mask = k >= 2
     values[mask] = tri[mask] / (k[mask] * (k[mask] - 1))
-    return NodalProfile("CLC", values)
+    return values
 
 
-def local_efficiency(m: ConnectivityMatrix) -> NodalProfile:
+def local_efficiency(m: ConnectivityMatrix) -> np.ndarray:
     """Weighted local efficiency on neighborhood-induced subgraphs.
 
     LE(i) = (1/(k_i(k_i-1))) * sum over ordered neighbor pairs (j, h) of
@@ -115,7 +98,7 @@ def local_efficiency(m: ConnectivityMatrix) -> NodalProfile:
     per neighborhood. The relaxation order differs from a per-neighborhood
     Floyd-Warshall, so values may differ from it by a few ulp.
     """
-    return NodalProfile("LE", _local_efficiency_stack(m.values[None].astype(np.float64))[0])
+    return _local_efficiency_stack(m.values[None].astype(np.float64))[0]
 
 
 def _local_efficiency_stack(w: np.ndarray) -> np.ndarray:
@@ -170,9 +153,8 @@ _STACK_ELEMENTS = 16_384
 def nodal_profiles(m: ConnectivityMatrix) -> dict[str, np.ndarray]:
     """NS, CC, CLC and LE per node, keyed in that order."""
     # looked up at call time, so a rebound metric function is the one that runs
-    profiles = (nodal_strength(m), closeness_centrality(m),
-                clustering_coefficient(m), local_efficiency(m))
-    return {p.metric_id: p.values for p in profiles}
+    return {"NS": nodal_strength(m), "CC": closeness_centrality(m),
+            "CLC": clustering_coefficient(m), "LE": local_efficiency(m)}
 
 
 def nodal_profiles_many(ms: list[ConnectivityMatrix]) -> list[dict[str, np.ndarray]]:
@@ -194,19 +176,18 @@ def nodal_profiles_many(ms: list[ConnectivityMatrix]) -> list[dict[str, np.ndarr
             w = np.stack([ms[i].values for i in chunk]).astype(np.float64)
             for i, values in zip(chunk, _local_efficiency_stack(w)):
                 le[i] = values
-    return [{"NS": nodal_strength(m).values, "CC": closeness_centrality(m).values,
-             "CLC": clustering_coefficient(m).values, "LE": values} for m, values in zip(ms, le)]
+    return [{"NS": nodal_strength(m), "CC": closeness_centrality(m),
+             "CLC": clustering_coefficient(m), "LE": values} for m, values in zip(ms, le)]
 
 
-def symmetric_eigenvalues(a: np.ndarray) -> EigenDecomposition:
-    """Eigendecomposition of a dense symmetric matrix (LAPACK, via numpy.linalg.eigh)."""
+def symmetric_eigenvalues(a: np.ndarray) -> np.ndarray:
+    """Ascending eigenvalues of a dense symmetric matrix (LAPACK, via numpy.linalg.eigh)."""
     a = np.asarray(a, dtype=np.float64)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise NotSymmetric(f"expected a square matrix, got shape {a.shape}")
     if np.max(np.abs(a - a.T)) > 1e-10:
         raise NotSymmetric("matrix is not symmetric within 1e-10")
-    eigenvalues, eigenvectors = np.linalg.eigh((a + a.T) / 2.0)
-    return EigenDecomposition(eigenvalues=eigenvalues, eigenvectors=eigenvectors)
+    return np.linalg.eigh((a + a.T) / 2.0).eigenvalues
 
 
 def normalized_laplacian(m: ConnectivityMatrix) -> np.ndarray:

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from .autodiff import Tensor, adain, chebconv
-from .errors import ShapeMismatch, ValidationError
+from .errors import DimensionMismatch, ValidationError
 
 
 def glorot(rng: np.random.Generator, fan_in: int, fan_out: int, shape=None) -> np.ndarray:
@@ -72,7 +72,7 @@ class Dense(_Layer):
 
     def __call__(self, x: Tensor, training: bool = True) -> Tensor:
         if x.data.shape[-1] != self.w.data.shape[0]:
-            raise ShapeMismatch(f"input width {x.data.shape[-1]} != {self.w.data.shape[0]}")
+            raise DimensionMismatch(f"input width {x.data.shape[-1]} != {self.w.data.shape[0]}")
         return self._tail(x @ self.w + self.b, training)
 
 

@@ -88,15 +88,10 @@ def default_effect(n_nodes: int = DEFAULT_N_NODES, noise_sigma: float = 1.0) -> 
     return SyntheticSiteEffect.constant(d, beta1=2.0, beta2=0.0043, beta3=0.0, noise_sigma=noise_sigma)
 
 
-def _site_design(sites: list[SiteDescriptor]) -> np.ndarray:
-    return np.stack([s.covariates() for s in sites])
-
-
-def _observe(latent_edges: np.ndarray, offsets: np.ndarray, sigma: float, rng) -> ConnectivityMatrix:
+def _observe(latent_edges: np.ndarray, n: int, offsets: np.ndarray, sigma: float, rng) -> ConnectivityMatrix:
     noisy = latent_edges + offsets
     if sigma > 0:
         noisy = noisy + rng.normal(0.0, sigma, size=latent_edges.shape)
-    n = int(round((1 + np.sqrt(1 + 8 * latent_edges.size)) / 2))
     return devectorize(round_counts(noisy), n)
 
 
@@ -135,7 +130,7 @@ def generate_synthetic_cohort(
     d = edge_count(n_nodes)
     if effect.beta1.size != d:
         raise ValidationError(f"effect arrays have length {effect.beta1.size}, expected {d}")
-    design = _site_design(sites)
+    design = np.stack([s.covariates() for s in sites])
     if np.linalg.matrix_rank(design) < min(4, len(sites)):
         raise RankDeficientSites(
             "site covariates are rank deficient; the linear model is not identifiable"
@@ -149,7 +144,7 @@ def generate_synthetic_cohort(
         latent_edges = vectorize_upper(latent)
         for site in sites:
             rng = substream(seed, "observe", i, site.site_index)
-            observed = _observe(latent_edges, offsets[site.site_index], effect.noise_sigma, rng)
+            observed = _observe(latent_edges, n_nodes, offsets[site.site_index], effect.noise_sigma, rng)
             records.append(
                 SubjectRecord(
                     subject_id=sid,
@@ -185,7 +180,7 @@ def redraw_retest(
             raise ValidationError(f"subject {sid} has no latent ground truth")
         latent_edges = vectorize_upper(by_id[sid])
         rng = substream(seed, "retest", sid, site.site_index)
-        observed = _observe(latent_edges, offsets, effect.noise_sigma, rng)
+        observed = _observe(latent_edges, by_id[sid].n, offsets, effect.noise_sigma, rng)
         out.append(
             SubjectRecord(
                 subject_id=sid, site=site, matrix=observed, group_key=sid, latent_truth=by_id[sid]

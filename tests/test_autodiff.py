@@ -18,7 +18,7 @@ from scharm.autodiff import (
     weighted_mae_loss,
     zero_grads,
 )
-from scharm.errors import ShapeMismatch, SpectrumOutOfRange
+from scharm.errors import DimensionMismatch, SpectrumOutOfRange
 from scharm.metrics import normalized_laplacian
 from conftest import random_connectome
 from _oracles import bf_adam_step, softmax
@@ -215,7 +215,7 @@ class TestElementwiseGradients:
 
     def test_backward_requires_scalar(self):
         t = Tensor(np.zeros(3), requires_grad=True)
-        with pytest.raises(ShapeMismatch):
+        with pytest.raises(DimensionMismatch):
             (t * 2).backward()
 
     def test_deep_chain_has_no_recursion_limit(self):
@@ -370,7 +370,7 @@ class TestAdaIn:
         finite_diff_check(lambda a, b, c: adain(a, b, c).pow(2.0).mean(), [f, scale, shift])
 
     def test_shape_validation(self, rng):
-        with pytest.raises(ShapeMismatch):
+        with pytest.raises(DimensionMismatch):
             adain(Tensor(np.zeros((2, 4, 3))), Tensor(np.zeros((2, 5))), Tensor(np.zeros((2, 5))))
         with pytest.raises(ValueError):
             adain(Tensor(np.zeros((2, 4, 3))), Tensor(np.zeros((2, 3))), Tensor(np.zeros((2, 3))), eps=0.0)
@@ -451,7 +451,7 @@ class TestChebConv:
             assert len(products) == backward_products
 
     def test_shape_validation(self):
-        with pytest.raises(ShapeMismatch):
+        with pytest.raises(DimensionMismatch):
             chebconv(Tensor(np.zeros((1, 3, 2))), np.zeros((3, 3)), Tensor(np.zeros((2, 4, 2))))
 
 
@@ -486,7 +486,7 @@ class TestAdam:
     def test_gradient_shape_checked(self):
         p = Tensor(np.ones(3), requires_grad=True)
         p.grad = np.ones((3, 1))
-        with pytest.raises(ShapeMismatch):
+        with pytest.raises(DimensionMismatch):
             adam_step(AdamState([p]), lr=0.1)
 
     @pytest.mark.parametrize("lr", [1e-3, 0.1])

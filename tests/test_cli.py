@@ -405,6 +405,45 @@ class TestRejectedBeforeOutput:
         assert run(argv) == 1
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("value", [2.5, True, "3", None])
+    def test_a_manifest_seed_that_is_not_an_integer(self, tmp_path, cohort_dir, value):
+        # 2.5, true and "3" each loaded through int() as seed 2, 1 and 3
+        payload = json.loads((cohort_dir / "manifest.json").read_text())
+        payload["seed"] = value
+        bad = cohort_dir / "bad.json"  # next to the matrices it points at
+        bad.write_text(json.dumps(payload))
+        assert run(["fit-lr", "--manifest", str(bad), "--out", str(tmp_path / "out")]) == 1
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("field, value", [("seed", False), ("epoch", True), ("epoch", 1.0),
+                                              ("seed", 2.5)])
+    def test_a_sidecar_seed_or_epoch_that_is_not_an_integer(self, tmp_path, cohort_dir, field, value):
+        # a boolean passed isinstance(value, int), so `"epoch": true` loaded
+        model_dir = tmp_path / "model"
+        assert run(["train", "--manifest", str(cohort_dir / "manifest.json"), "--arch", "fae",
+                    "--config", str(_tiny_fae_config(tmp_path)), "--epochs", "1",
+                    "--out-dir", str(model_dir)]) == 0
+        sidecar_path = model_dir / "model.bin.json"
+        sidecar = json.loads(sidecar_path.read_text())
+        sidecar[field] = value
+        sidecar_path.write_text(json.dumps(sidecar))
+        for argv in (["harmonize", "--manifest", str(cohort_dir / "manifest.json"), "--method", "fae",
+                      "--target-site", "3", "--out-dir", str(tmp_path / "h")],
+                     ["export-embeddings", "--manifest", str(cohort_dir / "manifest.json"),
+                      "--out", str(tmp_path / "emb.csv")]):
+            assert run([*argv, "--model", str(model_dir / "model.bin")]) == 1
+        assert not (tmp_path / "h").exists() and not (tmp_path / "emb.csv").exists()
+
+    def test_a_subject_whose_records_disagree_on_the_split(self, tmp_path, cohort_dir):
+        # fit-lr used to train on the subject or leave it out, by its last record's split
+        payload = json.loads((cohort_dir / "manifest.json").read_text())
+        first = payload["subjects"][0]
+        first["split"] = "test" if first["split"] == "train" else "train"
+        bad = cohort_dir / "bad.json"  # next to the matrices it points at
+        bad.write_text(json.dumps(payload))
+        assert run(["fit-lr", "--manifest", str(bad), "--out", str(tmp_path / "out")]) == 1
+        assert not (tmp_path / "out").exists()
+
     def test_harmonize_to_a_site_the_model_lacks(self, tmp_path, cohort_dir):
         model_dir = tmp_path / "model"
         assert run(["train", "--manifest", _two_site_cohort(tmp_path, (0, 1)), "--arch", "fae",
@@ -437,6 +476,22 @@ class TestRejectedBeforeOutput:
         assert run(["harmonize", "--manifest", manifest, "--method", "lr",
                     "--model", str(model_csv), "--target-site", "3",
                     "--out-dir", str(tmp_path / "h")]) == 1
+        assert not (tmp_path / "h").exists()
+
+    def test_harmonize_to_counts_beyond_int64(self, tmp_path, cohort_dir):
+        # was exit 0, writing -9223372036854775808 for the edge
+        manifest = cohort_dir / "manifest.json"
+        model_csv = tmp_path / "lr.csv"
+        assert run(["fit-lr", "--manifest", str(manifest), "--out", str(model_csv)]) == 0
+        lines = model_csv.read_text().splitlines()
+        fields = lines[1].split(",")
+        fields[2] = "-1e308"  # beta1 of edge 0
+        lines[1] = ",".join(fields)
+        model_csv.write_text("\n".join(lines) + "\n")
+        proc = _run_cli(["harmonize", "--manifest", manifest, "--method", "lr", "--model", model_csv,
+                         "--target-site", "3", "--out-dir", tmp_path / "h"])
+        assert proc.returncode == 1, proc.stderr
+        assert "Traceback" not in proc.stderr and "Warning" not in proc.stderr
         assert not (tmp_path / "h").exists()
 
     def test_generate_with_a_repeated_site_index(self, tmp_path):

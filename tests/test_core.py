@@ -58,6 +58,27 @@ class TestValidation:
             validate_matrix(m)
         assert exc.value.index == (0, 1)
 
+    @pytest.mark.parametrize("big", [2.0**63, 1e300, np.inf])
+    def test_entry_beyond_int64_is_rejected(self, big):
+        # was cast to int64 as -2^63, with only a RuntimeWarning
+        m = np.zeros((3, 3))
+        m[1, 2] = m[2, 1] = big
+        with pytest.raises(ValidationError, match=r"\(1, 2\)") as exc:
+            ConnectivityMatrix(m)
+        assert type(exc.value) is ValidationError
+
+    def test_entries_just_below_2_to_63_load(self):
+        below = np.nextafter(2.0**63, 0.0)
+        m = ConnectivityMatrix(np.array([[0.0, below], [below, 0.0]]))
+        assert m.values[0, 1] == int(below)
+        top = np.iinfo(np.int64).max
+        assert ConnectivityMatrix(np.array([[0, top], [top, 0]])).values[0, 1] == top
+
+    @pytest.mark.parametrize("value, error", [(np.nan, NonIntegerEntry), (-np.inf, NegativeEntry)])
+    def test_nan_and_minus_inf_keep_their_errors(self, value, error):
+        with pytest.raises(error):
+            ConnectivityMatrix(np.array([[0.0, value], [value, 0.0]]))
+
     def test_non_square_rejected(self):
         with pytest.raises(ValidationError):
             validate_matrix(np.zeros((2, 3)))

@@ -193,6 +193,19 @@ class TestCohortRoundTrip:
         with pytest.raises(ParseError):
             sio.load_cohort(path)
 
+    @pytest.mark.parametrize("record", [0, 3])  # the first or the last of sub0000's records
+    @pytest.mark.parametrize("split", ["test", None])
+    def test_one_subject_in_two_splits_is_rejected(self, tmp_path, record, split):
+        # the last record's split used to win for every record of the subject
+        def edit(payload):
+            for entry in payload["subjects"]:
+                entry["split"] = "train"
+            payload["subjects"][record]["split"] = split
+
+        path = self._edited(tmp_path, edit)
+        with pytest.raises(ParseError, match="sub0000"):
+            sio.load_cohort(path)
+
     def test_repeated_site_index_is_rejected(self, tmp_path):
         # a second site 0: a dict keyed by index would silently keep only the last
         path = self._edited(tmp_path, lambda p: p["sites"].append({**p["sites"][0], "b_value": 500.0}))

@@ -1,6 +1,10 @@
+import math
+import warnings
+from fractions import Fraction
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from scharm.core import (
@@ -62,6 +66,23 @@ class TestRounding:
     def test_integers_up_to_2_to_the_52_unchanged(self):
         vals = np.array([2.0**52 - 0.5, 2.0**52, 2.0**53])
         assert np.array_equal(round_counts(vals), [2.0**52, 2.0**52, 2.0**53])
+
+    # x + 0.5 rounds in floating point before the floor does: 0.49999999999999994
+    # became 1, and odd integers in (2^52, 2^53) moved up by one
+    @given(st.floats(min_value=0.0, max_value=2.0**60))
+    @example(0.49999999999999994)
+    @example(2.0**52 + 1)
+    @example(2.0**52 + 3)
+    @example(2.0**53 - 1)
+    @settings(max_examples=300, deadline=None)
+    def test_exactly_half_up(self, x):
+        assert round_counts(np.array([x]))[0] == math.floor(Fraction(x) + Fraction(1, 2))
+
+    def test_inf_stays_inf_without_a_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = round_counts(np.array([np.inf, -np.inf]))
+        assert out.tolist() == [np.inf, 0.0]
 
     @given(st.floats(min_value=-1e6, max_value=1e6, allow_nan=False))
     @settings(max_examples=100, deadline=None)

@@ -19,7 +19,7 @@ from _oracles import pernode_local_efficiency
 
 def _assert_matches_oracle(m: ConnectivityMatrix) -> None:
     expected = pernode_local_efficiency(m.values)
-    np.testing.assert_allclose(local_efficiency(m).values, expected, rtol=1e-12, atol=0)
+    np.testing.assert_allclose(local_efficiency(m), expected, rtol=1e-12, atol=0)
 
 
 @pytest.mark.parametrize("seed", range(40))
@@ -47,7 +47,7 @@ def test_isolated_nodes_match_pernode(seed):
     w[:, isolated] = 0
     m = ConnectivityMatrix(w)
     _assert_matches_oracle(m)
-    assert np.all(local_efficiency(m).values[isolated] == 0.0)
+    assert np.all(local_efficiency(m)[isolated] == 0.0)
 
 
 def test_star_and_double_star_match_pernode():
@@ -55,7 +55,7 @@ def test_star_and_double_star_match_pernode():
     star = np.zeros((7, 7), dtype=int)
     star[0, 1:] = star[1:, 0] = [3, 1, 4, 1, 5, 9]
     _assert_matches_oracle(ConnectivityMatrix(star))
-    assert np.all(local_efficiency(ConnectivityMatrix(star)).values == 0.0)
+    assert np.all(local_efficiency(ConnectivityMatrix(star)) == 0.0)
     # two hubs joined by an edge, each with its own leaves
     double = np.zeros((8, 8), dtype=int)
     for hub, leaves in ((0, [2, 3, 4]), (1, [5, 6, 7])):
@@ -67,21 +67,21 @@ def test_star_and_double_star_match_pernode():
 @pytest.mark.parametrize("n", [1, 2, 5])
 def test_all_zero_matrix(n):
     m = ConnectivityMatrix(np.zeros((n, n), dtype=int))
-    assert np.array_equal(local_efficiency(m).values, np.zeros(n))
+    assert np.array_equal(local_efficiency(m), np.zeros(n))
     _assert_matches_oracle(m)
 
 
 def test_single_edge():
     # N=2: each node has one neighbor, too few for a neighbor pair
     m = ConnectivityMatrix(np.array([[0, 5], [5, 0]]))
-    assert np.array_equal(local_efficiency(m).values, np.zeros(2))
+    assert np.array_equal(local_efficiency(m), np.zeros(2))
     _assert_matches_oracle(m)
 
 
 @pytest.mark.parametrize("n", [3, 4])
 def test_unit_cliques_bitwise(n):
     m = ConnectivityMatrix(np.ones((n, n), dtype=int) - np.eye(n, dtype=int))
-    values = local_efficiency(m).values
+    values = local_efficiency(m)
     assert np.array_equal(values, pernode_local_efficiency(m.values))
     assert np.array_equal(values, np.ones(n))
 

@@ -37,17 +37,17 @@ def _triangle(w01=1, w02=1, w12=1) -> ConnectivityMatrix:
 
 class TestHandValues:
     def test_nodal_strength(self):
-        assert np.array_equal(nodal_strength(_path3()).values, [2.0, 5.0, 3.0])
+        assert np.array_equal(nodal_strength(_path3()), [2.0, 5.0, 3.0])
 
     def test_closeness_path_graph(self):
         # distances: d01=1/2, d12=1/3, d02=1/2+1/3=5/6
         # CC0 = 2/(1/2+5/6) = 1.5, CC1 = 2/(1/2+1/3) = 2.4, CC2 = 2/(5/6+1/3) = 12/7
-        cc = closeness_centrality(_path3()).values
+        cc = closeness_centrality(_path3())
         assert np.allclose(cc, [1.5, 2.4, 12.0 / 7.0])
 
     def test_closeness_disconnected(self):
         m = ConnectivityMatrix(np.array([[0, 4, 0], [4, 0, 0], [0, 0, 0]]))
-        cc = closeness_centrality(m).values
+        cc = closeness_centrality(m)
         # node 2 is isolated; nodes 0 and 1 reach only each other at distance 1/4
         assert np.allclose(cc, [4.0, 4.0, 0.0])
 
@@ -55,34 +55,34 @@ class TestHandValues:
         # K3 with weights (2, 4, 8): normalized weights (1/4, 1/2, 1); each
         # node sees one triangle counted in both orientations, so
         # CLC = 2 * cbrt(1/4 * 1/2 * 1) / (2 * 1) = cbrt(1/8) = 0.5
-        clc = clustering_coefficient(_triangle(2, 4, 8)).values
+        clc = clustering_coefficient(_triangle(2, 4, 8))
         assert np.allclose(clc, 0.5)
 
     def test_clustering_unit_triangle(self):
         # complete unit-weight graph has clustering 1 everywhere
-        assert np.allclose(clustering_coefficient(_triangle()).values, 1.0)
+        assert np.allclose(clustering_coefficient(_triangle()), 1.0)
 
     def test_clustering_no_triangles(self):
-        assert np.allclose(clustering_coefficient(_path3()).values, 0.0)
+        assert np.allclose(clustering_coefficient(_path3()), 0.0)
 
     def test_local_efficiency_unit_cliques(self):
         # unit-weight K3 and K4: every neighbor pair is directly connected at
         # distance 1, so LE = 1 everywhere
         k3 = _triangle()
-        assert np.allclose(local_efficiency(k3).values, 1.0)
+        assert np.allclose(local_efficiency(k3), 1.0)
         k4 = ConnectivityMatrix(np.ones((4, 4), dtype=int) - np.eye(4, dtype=int))
-        assert np.allclose(local_efficiency(k4).values, 1.0)
+        assert np.allclose(local_efficiency(k4), 1.0)
 
     def test_local_efficiency_star_is_zero(self):
         # star center's neighbors are pairwise unreachable inside the
         # neighborhood subgraph; leaves have a single neighbor
         star = ConnectivityMatrix(np.array([[0, 1, 1, 1], [1, 0, 0, 0], [1, 0, 0, 0], [1, 0, 0, 0]]))
-        assert np.allclose(local_efficiency(star).values, 0.0)
+        assert np.allclose(local_efficiency(star), 0.0)
 
     def test_empty_graph(self):
         m = ConnectivityMatrix(np.zeros((4, 4), dtype=int))
         for fn in (nodal_strength, closeness_centrality, clustering_coefficient, local_efficiency):
-            assert np.allclose(fn(m).values, 0.0)
+            assert np.allclose(fn(m), 0.0)
 
 
 class TestBruteForceOracles:
@@ -93,11 +93,11 @@ class TestBruteForceOracles:
         density = float(rng.uniform(0.3, 0.9))
         m = random_connectome(rng, n, density=density)
         w = m.values.astype(float)
-        assert np.allclose(nodal_strength(m).values, w.sum(axis=1), atol=1e-10)
+        assert np.allclose(nodal_strength(m), w.sum(axis=1), atol=1e-10)
         assert np.allclose(shortest_path_distances(m), bf_shortest_paths(w), atol=1e-10)
-        assert np.allclose(closeness_centrality(m).values, bf_closeness(w), atol=1e-10)
-        assert np.allclose(clustering_coefficient(m).values, bf_clustering(w), atol=1e-10)
-        assert np.allclose(local_efficiency(m).values, bf_local_efficiency(w), atol=1e-10)
+        assert np.allclose(closeness_centrality(m), bf_closeness(w), atol=1e-10)
+        assert np.allclose(clustering_coefficient(m), bf_clustering(w), atol=1e-10)
+        assert np.allclose(local_efficiency(m), bf_local_efficiency(w), atol=1e-10)
 
     @given(st.integers(min_value=0, max_value=10**6))
     @settings(max_examples=30, deadline=None)
@@ -108,7 +108,7 @@ class TestBruteForceOracles:
         perm = rng.permutation(n)
         pm = ConnectivityMatrix(m.values[np.ix_(perm, perm)])
         for fn in (nodal_strength, closeness_centrality, clustering_coefficient, local_efficiency):
-            assert np.allclose(fn(pm).values, fn(m).values[perm], atol=1e-10)
+            assert np.allclose(fn(pm), fn(m)[perm], atol=1e-10)
 
 
 class TestFloydWarshallOracle:
@@ -161,7 +161,7 @@ class TestNodalProfiles:
         assert list(profiles) == ["NS", "CC", "CLC", "LE"]
         fns = (nodal_strength, closeness_centrality, clustering_coefficient, local_efficiency)
         for values, fn in zip(profiles.values(), fns):
-            assert np.array_equal(values, fn(m).values)
+            assert np.array_equal(values, fn(m))
 
 
 class TestEigen:
@@ -171,18 +171,14 @@ class TestEigen:
         n = int(rng.integers(2, 5))
         a = rng.standard_normal((n, n))
         a = (a + a.T) / 2.0
-        dec = symmetric_eigenvalues(a)
-        assert np.allclose(dec.eigenvalues, bf_eigenvalues(a), atol=1e-8)
+        assert np.allclose(symmetric_eigenvalues(a), bf_eigenvalues(a), atol=1e-8)
 
     @pytest.mark.parametrize("seed", range(5))
     def test_reconstruction_and_orthonormality(self, seed):
         rng = np.random.default_rng(100 + seed)
         a = rng.standard_normal((6, 6))
         a = (a + a.T) / 2.0
-        dec = symmetric_eigenvalues(a)
-        v, lam = dec.eigenvectors, dec.eigenvalues
-        assert np.allclose(v @ np.diag(lam) @ v.T, a, atol=1e-9)
-        assert np.allclose(v.T @ v, np.eye(6), atol=1e-9)
+        lam = symmetric_eigenvalues(a)
         assert np.all(np.diff(lam) >= -1e-12)
 
     def test_rejects_asymmetric(self):
@@ -190,8 +186,7 @@ class TestEigen:
             symmetric_eigenvalues(np.array([[0.0, 1.0], [2.0, 0.0]]))
 
     def test_diagonal_matrix(self):
-        dec = symmetric_eigenvalues(np.diag([3.0, -1.0, 2.0]))
-        assert np.allclose(dec.eigenvalues, [-1.0, 2.0, 3.0])
+        assert np.allclose(symmetric_eigenvalues(np.diag([3.0, -1.0, 2.0])), [-1.0, 2.0, 3.0])
 
 
 class TestNormalizedLaplacian:
@@ -221,4 +216,4 @@ def test_nodal_strength_sums_beyond_int64():
     # three edges of 4e18 sum past the int64 maximum (about 9.2e18)
     big = 4 * 10**18
     m = ConnectivityMatrix(np.full((4, 4), big, dtype=np.int64) - np.diag([big] * 4))
-    assert nodal_strength(m).values.tolist() == [3.0 * big] * 4
+    assert nodal_strength(m).tolist() == [3.0 * big] * 4

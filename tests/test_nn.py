@@ -3,7 +3,7 @@ import pytest
 
 from scharm.augment import augment_site
 from scharm.autodiff import Tensor, adain, grad_reversal, sigmoid_bce, weighted_mae_loss, zero_grads
-from scharm.errors import ShapeMismatch, ValidationError
+from scharm.errors import DimensionMismatch, ValidationError
 from scharm.linear import LinearEdgeModel
 from scharm.metrics import normalized_laplacian
 from scharm.nn import (
@@ -43,7 +43,7 @@ class TestDense:
 
     def test_input_width_checked(self, rng):
         layer = Dense(rng, 4, 3)
-        with pytest.raises(ShapeMismatch):
+        with pytest.raises(DimensionMismatch):
             layer(Tensor(np.zeros((2, 5))))
 
     def test_unknown_options_rejected(self, rng):
