@@ -1,9 +1,13 @@
+import concurrent.futures
+import time
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from scharm import ConnectivityMatrix
+from scharm import metrics
 from scharm.errors import NotSymmetric
 from scharm.metrics import (
     closeness_centrality,
@@ -187,6 +191,30 @@ class TestEigen:
 
     def test_diagonal_matrix(self):
         assert np.allclose(symmetric_eigenvalues(np.diag([3.0, -1.0, 2.0])), [-1.0, 2.0, 3.0])
+
+    @pytest.mark.parametrize("n", [25, 26, 32, 68])
+    def test_one_blas_thread_keeps_bytes_and_thread_count(self, n):
+        # past n = 25 eigh takes the divide-and-conquer path, run on one BLAS thread
+        a = random_connectome(np.random.default_rng(n), n).values.astype(float)
+        threads = metrics._BLAS_THREADS
+        before = threads[0]() if threads else None
+        lam = symmetric_eigenvalues(a)
+        assert np.array_equal(lam, np.linalg.eigh((a + a.T) / 2.0).eigenvalues)
+        assert (threads[0]() if threads else None) == before
+
+    def test_concurrent_callers_restore_the_thread_count(self, monkeypatch):
+        count = [4]
+
+        def set_threads(k):
+            count[0] = k
+            time.sleep(0.001)  # let the other callers run mid-swap
+
+        monkeypatch.setattr(metrics, "_BLAS_THREADS", (lambda: count[0], set_threads))
+        a = random_connectome(np.random.default_rng(1), 32).values.astype(float)
+        with concurrent.futures.ThreadPoolExecutor(max_workers=4) as pool:
+            spectra = list(pool.map(lambda _: symmetric_eigenvalues(a), range(40)))
+        assert all(np.array_equal(lam, spectra[0]) for lam in spectra)
+        assert count[0] == 4
 
 
 class TestNormalizedLaplacian:
