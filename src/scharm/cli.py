@@ -32,6 +32,14 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
+def _non_negative_int(text: str) -> int:
+    """argparse type of --seed and --augment: an integer >= 0."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 0, got {value}")
+    return value
+
+
 @functools.cache  # built once per process: parse_args does not change the parser
 def _build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="scharm", description=__doc__)
@@ -43,14 +51,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sites-file", required=True)
     p.add_argument("--effect-file", required=True)
     p.add_argument("--density", type=float, default=0.5)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_non_negative_int, default=0)
     p.add_argument("--out-dir", required=True)
 
     p = sub.add_parser("augment", help="mixup-augment one site's training matrices")
     p.add_argument("--manifest", required=True)
     p.add_argument("--site", type=int, required=True)
     p.add_argument("--count", type=int, required=True)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_non_negative_int, default=0)
     p.add_argument("--out-dir", required=True)
     p.add_argument("--report", action="store_true")
 
@@ -67,8 +75,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--arch", choices=["fae", "gae"], required=True)
     p.add_argument("--config", default=None, help="JSON architecture config overrides")
     p.add_argument("--epochs", type=int, default=200)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--augment", type=int, default=0, metavar="N",
+    p.add_argument("--seed", type=_non_negative_int, default=0)
+    p.add_argument("--augment", type=_non_negative_int, default=0, metavar="N",
                    help="mixup-augment the training split with N children per site")
     p.add_argument("--out-dir", required=True)
 

@@ -6,6 +6,10 @@ gradient reversal layer, a site-mapper embedding the target-site one-hot
 code, a latent-fusion stage (concatenation for the fully connected model,
 AdaIN for the graph model), and a decoder reconstructing the connectome
 conditioned on the fused representation.
+
+Training, inference and embedding export run on one BLAS thread
+(`blas.one_thread`): matrix-product bytes depend on the thread count, and one
+seed must give one model on any host.
 """
 
 from __future__ import annotations
@@ -27,6 +31,7 @@ from .autodiff import (
     weighted_mae_loss,
     zero_grads,
 )
+from .blas import one_thread
 from .core import (
     CohortManifest,
     ConnectivityMatrix,
@@ -290,6 +295,7 @@ class HarmonizerModel(Module):
             return devectorize(round_counts(raw), self.config.n_nodes)
         return ConnectivityMatrix(round_counts(raw))  # decode_batch is symmetric, zero diagonal
 
+    @one_thread()
     def harmonize_many(self, matrices: list[ConnectivityMatrix],
                        target_site: SiteDescriptor) -> list[ConnectivityMatrix]:
         if not matrices:
@@ -362,6 +368,7 @@ def _epoch_score(val_mae: float, val_fa: float, baseline_mae: float) -> float:
     return val_mae / baseline_mae - val_fa
 
 
+@one_thread()
 def train(model: HarmonizerModel, cohort: CohortManifest,
           hyper: TrainingConfig | None = None) -> tuple[HarmonizerModel, TrainingHistory]:
     """Adversarial self-reconstruction training with per-epoch validation.
@@ -492,6 +499,7 @@ def select_best_epoch(history: TrainingHistory, baseline_mae: float) -> int:
     return int(np.argmin(scores))
 
 
+@one_thread()
 def export_embeddings(model: HarmonizerModel, cohort: CohortManifest) -> str:
     """CSV dump of encoder embeddings, one row per (subject, site) record;
     GAE embeddings are mean-pooled over nodes to K values."""

@@ -92,7 +92,9 @@ def pairwise_distances(pred: list[ConnectivityMatrix],
     between harmonized subject i and target subject j."""
     _check_pair(pred, target)
     pv, tv = vectorize_many(pred), vectorize_many(target)
-    return np.abs(pv[:, None, :] - tv[None, :, :]).mean(axis=2)
+    # row by row: one (n, D) temporary, not two (n, n, D); each entry is the
+    # same contiguous reduction, so the bytes match the broadcast form
+    return np.stack([np.abs(row - tv).mean(axis=1) for row in pv])
 
 
 def fingerprint_accuracy(p: np.ndarray) -> float:

@@ -19,20 +19,11 @@ on one thread of numpy's bundled OpenBLAS.
 
 from __future__ import annotations
 
-import ctypes
-import threading
-
 import numpy as np
 
+from .blas import one_thread
 from .core import ConnectivityMatrix
 from .errors import NotSymmetric
-
-try:  # the thread-count getter and setter of numpy's bundled OpenBLAS
-    _blas = ctypes.CDLL(np.linalg._umath_linalg.__file__)
-    _BLAS_THREADS = _blas.scipy_openblas_get_num_threads64_, _blas.scipy_openblas_set_num_threads64_
-except (OSError, AttributeError):  # another BLAS keeps its own thread count
-    _BLAS_THREADS = None
-_BLAS_LOCK = threading.Lock()  # concurrent callers would restore each other's count
 
 
 def nodal_strength(m: ConnectivityMatrix) -> np.ndarray:
@@ -198,20 +189,12 @@ def symmetric_eigenvalues(a: np.ndarray) -> np.ndarray:
         raise NotSymmetric(f"expected a square matrix, got shape {a.shape}")
     if np.max(np.abs(a - a.T)) > 1e-10:
         raise NotSymmetric("matrix is not symmetric within 1e-10")
-    if _BLAS_THREADS is None:
-        return np.linalg.eigh((a + a.T) / 2.0).eigenvalues
     # past n = 25 eigh takes LAPACK's divide-and-conquer path, whose threaded
     # BLAS calls wait on thread wake-ups: on a 2-core host an n = 32 call took
     # 0.12 ms, or 12-24 ms in a quarter of calls, on two threads and a steady
     # 0.14 ms on one, with the same eigenvalue bytes
-    get_threads, set_threads = _BLAS_THREADS
-    with _BLAS_LOCK:
-        threads = get_threads()
-        set_threads(1)
-        try:
-            return np.linalg.eigh((a + a.T) / 2.0).eigenvalues
-        finally:
-            set_threads(threads)
+    with one_thread():
+        return np.linalg.eigh((a + a.T) / 2.0).eigenvalues
 
 
 def normalized_laplacian(m: ConnectivityMatrix) -> np.ndarray:

@@ -537,11 +537,12 @@ def test_cli_import_loads_no_scipy():
     assert out.stdout.strip() == "False"
 
 
-def _run_cli(argv) -> subprocess.CompletedProcess:
-    """The CLI in a fresh process, so its exit code and stderr are the user's."""
+def _run_cli(argv, **env) -> subprocess.CompletedProcess:
+    """The CLI in a fresh process, so its exit code and stderr are the user's;
+    `env` adds environment variables."""
     src = Path(__file__).resolve().parents[1] / "src"
     return subprocess.run([sys.executable, "-m", "scharm.cli", *map(str, argv)],
-                          env={**os.environ, "PYTHONPATH": str(src)},
+                          env={**os.environ, "PYTHONPATH": str(src), **env},
                           capture_output=True, text=True, timeout=300)
 
 
@@ -594,6 +595,64 @@ class TestEmptyCohorts:
         assert proc.returncode == 1, proc.stderr
         assert "Traceback" not in proc.stderr and "EmptyCohort" in proc.stderr
         assert not (tmp_path / "h").exists()
+
+
+class TestNegativeArguments:
+    """A negative --seed or --augment is a usage error: exit 1, the usage line,
+    no traceback, nothing written."""
+
+    @pytest.mark.parametrize("command", ["generate", "augment", "train-seed", "train-augment"])
+    def test_rejected_before_output(self, tmp_path, cohort_dir, command):
+        manifest = cohort_dir / "manifest.json"
+        out = tmp_path / "out"
+        argv = {
+            "generate": ["generate", "--nodes", "10", "--subjects", "16", "--sites-file",
+                         tmp_path / "sites.json", "--effect-file", tmp_path / "effect.json",
+                         "--seed", "-1"],
+            "augment": ["augment", "--manifest", manifest, "--site", "0", "--count", "2", "--seed", "-1"],
+            "train-seed": ["train", "--manifest", manifest, "--arch", "fae", "--config",
+                           _tiny_fae_config(tmp_path), "--epochs", "1", "--seed", "-1"],
+            "train-augment": ["train", "--manifest", manifest, "--arch", "fae", "--config",
+                              _tiny_fae_config(tmp_path), "--epochs", "1", "--augment", "-5"],
+        }[command]
+        proc = _run_cli(argv + ["--out-dir", out])
+        assert proc.returncode == 1, proc.stderr
+        assert proc.stderr.startswith("usage: scharm ") and "Traceback" not in proc.stderr
+        assert not out.exists()
+
+    def test_train_augment_zero_is_no_augmentation(self, tmp_path, cohort_dir):
+        argv = ["train", "--manifest", str(cohort_dir / "manifest.json"), "--arch", "fae",
+                "--config", str(_tiny_fae_config(tmp_path)), "--epochs", "1"]
+        assert run(argv + ["--augment", "0", "--out-dir", str(tmp_path / "zero")]) == 0
+        assert run(argv + ["--out-dir", str(tmp_path / "default")]) == 0
+        for name in ("model.bin", "model.bin.json"):
+            assert (tmp_path / "zero" / name).read_bytes() == (tmp_path / "default" / name).read_bytes()
+
+
+def test_fae_bytes_do_not_depend_on_the_blas_thread_count(tmp_path):
+    # a wide FAE layer's matrix products differ in the last bits between one
+    # and two OpenBLAS threads unless training and inference pin one thread
+    sites, effect = tmp_path / "sites.json", tmp_path / "effect.json"
+    sio.save_sites(table1_sites(), sites)
+    effect.write_text('{"beta1_const": 2.0, "beta2_const": 0.002, "noise_sigma": 1.0}')
+    runs = []
+    for threads in ("1", "2"):
+        work = tmp_path / f"threads{threads}"
+        manifest = work / "cohort" / "manifest.json"
+        for argv in (["generate", "--nodes", "32", "--subjects", "20", "--sites-file", sites,
+                      "--effect-file", effect, "--seed", "0", "--out-dir", work / "cohort"],
+                     ["train", "--manifest", manifest, "--arch", "fae", "--epochs", "1",
+                      "--seed", "0", "--out-dir", work / "model"],
+                     ["harmonize", "--manifest", manifest, "--method", "fae",
+                      "--model", work / "model" / "model.bin", "--target-site", "3",
+                      "--out-dir", work / "harmonized"]):
+            proc = _run_cli(argv, OPENBLAS_NUM_THREADS=threads)
+            assert proc.returncode == 0, proc.stderr
+        runs.append({p.relative_to(work): p.read_bytes() for p in sorted(work.rglob("*")) if p.is_file()})
+    assert runs[0].keys() == runs[1].keys()
+    assert Path("model", "model.bin") in runs[0] and Path("harmonized", "manifest.json") in runs[0]
+    for rel in runs[0]:
+        assert runs[0][rel] == runs[1][rel], rel
 
 
 def test_metrics_calls_local_efficiency_once_per_record(tmp_path, cohort_dir, monkeypatch):

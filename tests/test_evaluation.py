@@ -86,6 +86,18 @@ class TestFingerprinting:
         ).mean()
         assert p[1, 2] == pytest.approx(expected)
 
+    @pytest.mark.parametrize("count, n", [(5, 10), (17, 32), (64, 68)])
+    def test_pairwise_distances_match_the_broadcast_form(self, count, n):
+        rng = np.random.default_rng(count)
+        pred = [random_connectome(rng, n, max_weight=5000) for _ in range(count)]
+        target = [random_connectome(rng, n, max_weight=5000) for _ in range(count)]
+        pv = np.stack([m.values[np.triu_indices(n, 1)] for m in pred]).astype(np.float64)
+        tv = np.stack([m.values[np.triu_indices(n, 1)] for m in target]).astype(np.float64)
+        broadcast = np.abs(pv[:, None, :] - tv[None, :, :]).mean(axis=2)
+        p = pairwise_distances(pred, target)
+        assert p.shape == (count, count) and p.dtype == np.float64
+        assert p.tobytes() == broadcast.tobytes()
+
     def test_fa_perfect(self):
         p = np.array([[0.0, 5.0], [5.0, 0.0]])
         assert fingerprint_accuracy(p) == 1.0

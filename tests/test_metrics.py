@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from scharm import ConnectivityMatrix
-from scharm import metrics
+from scharm import blas
 from scharm.errors import NotSymmetric
 from scharm.metrics import (
     closeness_centrality,
@@ -196,11 +196,10 @@ class TestEigen:
     def test_one_blas_thread_keeps_bytes_and_thread_count(self, n):
         # past n = 25 eigh takes the divide-and-conquer path, run on one BLAS thread
         a = random_connectome(np.random.default_rng(n), n).values.astype(float)
-        threads = metrics._BLAS_THREADS
-        before = threads[0]() if threads else None
+        before = blas._get_threads()
         lam = symmetric_eigenvalues(a)
         assert np.array_equal(lam, np.linalg.eigh((a + a.T) / 2.0).eigenvalues)
-        assert (threads[0]() if threads else None) == before
+        assert blas._get_threads() == before
 
     def test_concurrent_callers_restore_the_thread_count(self, monkeypatch):
         count = [4]
@@ -209,7 +208,8 @@ class TestEigen:
             count[0] = k
             time.sleep(0.001)  # let the other callers run mid-swap
 
-        monkeypatch.setattr(metrics, "_BLAS_THREADS", (lambda: count[0], set_threads))
+        monkeypatch.setattr(blas, "_get_threads", lambda: count[0])
+        monkeypatch.setattr(blas, "_set_threads", set_threads)
         a = random_connectome(np.random.default_rng(1), 32).values.astype(float)
         with concurrent.futures.ThreadPoolExecutor(max_workers=4) as pool:
             spectra = list(pool.map(lambda _: symmetric_eigenvalues(a), range(40)))
