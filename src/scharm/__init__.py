@@ -31,6 +31,7 @@ from .deep import (
     lambda_schedule,
     select_best_epoch,
     train,
+    training_inputs,
 )
 from .evaluation import (
     MetricReport,

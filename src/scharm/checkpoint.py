@@ -8,11 +8,11 @@ as little-endian float64 in row-major order. Records run until end of file.
 from __future__ import annotations
 
 import struct
-from pathlib import Path
 
 import numpy as np
 
-from .errors import IoError, ParseError
+from .errors import ParseError
+from .io import read_bytes, write_bytes
 
 MAGIC = b"SCH1"
 
@@ -28,17 +28,11 @@ def save_tensors(tensors: dict[str, np.ndarray], path) -> None:
         chunks.append(struct.pack("<I", arr.ndim))
         chunks.append(struct.pack(f"<{arr.ndim}I", *arr.shape))
         chunks.append(arr.tobytes())
-    try:
-        Path(path).write_bytes(b"".join(chunks))
-    except OSError as e:
-        raise IoError(f"cannot write {path}: {e}") from e
+    write_bytes(path, b"".join(chunks))
 
 
 def load_tensors(path) -> dict[str, np.ndarray]:
-    try:
-        blob = Path(path).read_bytes()
-    except OSError as e:
-        raise IoError(f"cannot read {path}: {e}") from e
+    blob = read_bytes(path)
     if blob[:4] != MAGIC:
         raise ParseError(f"{path}: bad magic bytes {blob[:4]!r}")
     out: dict[str, np.ndarray] = {}

@@ -19,17 +19,18 @@ from . import linear
 from . import metrics as gm
 from .core import (CohortManifest, SubjectRecord, edge_count, highest_quality_site,
                    lowest_quality_site, split_cohort)
-from .deep import ArchitectureConfig, HarmonizerModel, TrainingConfig, export_embeddings, train
-from .errors import DimensionMismatch, EmptyCohort, IoError, ParseError, ScharmError, ValidationError
+from .deep import (ArchitectureConfig, HarmonizerModel, TrainingConfig, export_embeddings, train,
+                   training_inputs)
+from .errors import EmptyCohort, IoError, ParseError, ScharmError, ValidationError
 from .synthetic import generate_synthetic_cohort, redraw_retest
 
 log = logging.getLogger("scharm")
 
 
 class _Parser(argparse.ArgumentParser):
-    def error(self, message):
+    def error(self, message):  # argparse's usage line and message, but exit code 1
         self.print_usage(sys.stderr)
-        raise SystemExit(1)
+        self.exit(1, f"{self.prog}: error: {message}\n")
 
 
 def _non_negative_int(text: str) -> int:
@@ -173,27 +174,23 @@ def _cmd_fit_lr(args) -> int:
 
 def _cmd_train(args) -> int:
     manifest = sio.load_cohort(args.manifest)
-    n_sites = len(manifest.sites)
-    if args.arch == "fae":
-        config = ArchitectureConfig.fae_default(manifest.n_nodes, n_sites)
-    else:
-        config = ArchitectureConfig.gae_default(manifest.n_nodes, n_sites)
+    default = ArchitectureConfig.fae_default if args.arch == "fae" else ArchitectureConfig.gae_default
+    config = default(manifest.n_nodes, len(manifest.sites))
     if args.config:
         overrides = sio.read_json(args.config)
         if not isinstance(overrides, dict):
             raise ParseError(f"{args.config}: expected a JSON object of config fields")
+        if overrides.get("kind", args.arch) != args.arch:
+            raise ValidationError(f"{args.config}: kind {overrides['kind']!r} is not --arch {args.arch}")
         config = ArchitectureConfig.from_dict({**config.to_dict(), **overrides})
-    if config.n_nodes != manifest.n_nodes:
-        raise DimensionMismatch(f"config n_nodes {config.n_nodes}, cohort n_nodes {manifest.n_nodes}")
     model = HarmonizerModel(config, seed=args.seed)
-    model._one_hot([s.site_index for s in manifest.sites])  # UnknownSite before --out-dir exists
     hyper = TrainingConfig(epochs=args.epochs, seed=args.seed)
     if args.augment > 0:
         manifest = aug.augment_cohort(manifest, args.augment, seed=args.seed)
         log.info("event=augmented-train per_site=%d total=%d",
                  args.augment, len(manifest.records(split="train")))
-    # before training, so a bad --out-dir does not cost a whole run
-    out_dir = sio.make_dir(args.out_dir)
+    training_inputs(model, manifest, hyper)  # every input error before --out-dir exists
+    out_dir = sio.make_dir(args.out_dir)  # before training, so a bad --out-dir costs no run
     model, history = train(model, manifest, hyper)
     model.save(out_dir / "model.bin", history=history)
     log.info("event=trained arch=%s epochs=%d final_loss=%.6g out=%s",

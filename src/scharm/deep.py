@@ -103,15 +103,7 @@ class ArchitectureConfig:
 
     @classmethod
     def gae_default(cls, n_nodes: int, n_sites: int) -> "ArchitectureConfig":
-        return cls(
-            kind="gae",
-            n_nodes=n_nodes,
-            n_sites=n_sites,
-            embedding_dim=32,
-            cheb_order=3,
-            gae_hidden=64,
-            bce_enabled=True,
-        )
+        return cls(kind="gae", n_nodes=n_nodes, n_sites=n_sites, embedding_dim=32, bce_enabled=True)
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -336,19 +328,19 @@ class HarmonizerModel(Module):
         return model, history
 
 
+# plateau scheduler: PLATEAU_PATIENCE epochs without a PLATEAU_THRESHOLD gain cut both rates
+PLATEAU_FACTOR = 0.9
+PLATEAU_PATIENCE = 5
+PLATEAU_THRESHOLD = 1e-5
+
+
 @dataclass
 class TrainingConfig:
     epochs: int = 200
     batch_size: int = 32
     lr_encdec: float = 1e-2
     lr_aux: float = 1e-3
-    plateau_factor: float = 0.9
-    plateau_patience: int = 5
-    plateau_threshold: float = 1e-5
-    warmup_epochs: int = 100
-    grl_gamma: float = 10.0
     seed: int = 0
-    restore_best: bool = True
 
     def __post_init__(self):
         if self.epochs < 1:
@@ -362,10 +354,27 @@ def _validation_scores(harmonized: list[ConnectivityMatrix],
     return float(np.diagonal(p).mean()), fingerprint_accuracy(p)
 
 
-def _epoch_score(val_mae: float, val_fa: float, baseline_mae: float) -> float:
-    """Model-selection score, lower is better: val MAE relative to the
-    unharmonized baseline MAE, minus val fingerprinting accuracy."""
-    return val_mae / baseline_mae - val_fa
+def training_inputs(model: HarmonizerModel, cohort: CohortManifest, hyper: TrainingConfig):
+    """Check every input `train` needs; returns the train records, the validation
+    pairs as (lowest-quality, highest-quality) matrix lists, the highest-quality site
+    and the unharmonized validation MAE (None without pairs). EmptyCohort, DimensionMismatch,
+    UnknownSite, or ValidationError when one batch does not fit or that MAE is 0."""
+    train_records = cohort.records(split="train")
+    if not train_records:
+        raise EmptyCohort("no training subjects")
+    if hyper.batch_size > len(train_records):
+        raise ValidationError(f"batch size {hyper.batch_size} exceeds {len(train_records)} train records")
+    if cohort.n_nodes != model.config.n_nodes:
+        raise DimensionMismatch(f"cohort has {cohort.n_nodes} nodes, model expects {model.config.n_nodes}")
+    low, high = lowest_quality_site(cohort.sites), highest_quality_site(cohort.sites)
+    model._one_hot([r.site.site_index for r in train_records] + [high.site_index])
+    val_pairs = pair_by_subject(cohort.records(split="val", site_index=low.site_index),
+                                cohort.records(split="val", site_index=high.site_index))
+    sources, targets = [s.matrix for s, _ in val_pairs], [t.matrix for _, t in val_pairs]
+    baseline_mae = _validation_scores(sources, targets)[0] if val_pairs else None
+    if baseline_mae == 0:
+        raise ValidationError("validation MAE is 0 before harmonizing: the sites do not differ")
+    return train_records, (sources, targets), high, baseline_mae
 
 
 @one_thread()
@@ -377,15 +386,12 @@ def train(model: HarmonizerModel, cohort: CohortManifest,
     sees the embedding through the gradient reversal layer. Validation
     harmonizes the lowest-quality-site matrices to the highest-quality site
     and scores edge MAE and fingerprinting accuracy against the observed
-    highest-quality matrices.
+    highest-quality matrices; the returned model holds the weights of the
+    epoch `select_best_epoch` picks, or of the last epoch without validation.
     """
     hyper = hyper or TrainingConfig()
     cfg = model.config
-    train_records = cohort.records(split="train")
-    if not train_records:
-        raise EmptyCohort("no training subjects")
-    if hyper.batch_size > len(train_records):
-        raise ValidationError("batch size exceeds training set size")
+    train_records, (val_sources, val_targets), high, baseline_mae = training_inputs(model, cohort, hyper)
 
     matrices = [r.matrix for r in train_records]
     site_idx = np.array([r.site.site_index for r in train_records])
@@ -395,27 +401,17 @@ def train(model: HarmonizerModel, cohort: CohortManifest,
         targets = np.stack([m.values.astype(np.float64) for m in matrices])
     bce_targets = (targets > 0).astype(np.float64) if cfg.bce_enabled else None
 
-    low, high = lowest_quality_site(cohort.sites), highest_quality_site(cohort.sites)
-    val_pairs = pair_by_subject(cohort.records(split="val", site_index=low.site_index),
-                                cohort.records(split="val", site_index=high.site_index))
-    val_sources, val_targets = [s.matrix for s, _ in val_pairs], [t.matrix for _, t in val_pairs]
-
     opt_encdec = AdamState(model.encdec_parameters())
     opt_aux = AdamState(model.aux_parameters())
     lr_encdec, lr_aux = hyper.lr_encdec, hyper.lr_aux
     best_loss = np.inf
     stall = 0
     history = TrainingHistory()
-    best_score = np.inf
     best_state = None
-
-    baseline_mae = None
-    if val_pairs:
-        baseline_mae, _ = _validation_scores(val_sources, val_targets)
 
     n = len(train_records)
     for epoch in range(hyper.epochs):
-        lam = lambda_schedule(epoch, hyper.warmup_epochs, hyper.grl_gamma)
+        lam = lambda_schedule(epoch)
         order = substream(hyper.seed, "shuffle", epoch).permutation(n)
         sums = {"total": 0.0, "mae": 0.0, "ce": 0.0, "bce": 0.0}
         seen = 0
@@ -449,13 +445,9 @@ def train(model: HarmonizerModel, cohort: CohortManifest,
         epoch_loss = sums["total"] / seen
 
         val_mae, val_fa = np.nan, np.nan
-        if val_pairs:
+        if val_sources:
             harmonized = model.harmonize_many(val_sources, high)
             val_mae, val_fa = _validation_scores(harmonized, val_targets)
-            score = _epoch_score(val_mae, val_fa, baseline_mae)
-            if hyper.restore_best and score < best_score:
-                best_score = score
-                best_state = model.snapshot()
 
         history.records.append(
             EpochRecord(
@@ -471,31 +463,34 @@ def train(model: HarmonizerModel, cohort: CohortManifest,
                 lr_aux=lr_aux,
             )
         )
+        if val_sources and select_best_epoch(history, baseline_mae) == epoch:
+            best_state = model.snapshot()
 
         # plateau scheduler on the training total loss
-        if epoch_loss < best_loss - hyper.plateau_threshold:
+        if epoch_loss < best_loss - PLATEAU_THRESHOLD:
             best_loss = epoch_loss
             stall = 0
         else:
             stall += 1
-            if stall >= hyper.plateau_patience:
-                lr_encdec *= hyper.plateau_factor
-                lr_aux *= hyper.plateau_factor
+            if stall >= PLATEAU_PATIENCE:
+                lr_encdec *= PLATEAU_FACTOR
+                lr_aux *= PLATEAU_FACTOR
                 stall = 0
         model.epoch = epoch + 1
 
-    if hyper.restore_best and best_state is not None:
+    if best_state is not None:
         model.load_state_arrays(best_state)
     return model, history
 
 
 def select_best_epoch(history: TrainingHistory, baseline_mae: float) -> int:
-    """Epoch minimizing (val MAE / baseline MAE) - val FA; earliest tie wins."""
+    """The epoch `train` keeps: the one minimizing val MAE relative to the
+    unharmonized baseline MAE, minus val fingerprinting accuracy; earliest tie wins."""
     if not history.records:
         raise EmptyInput("history has no epochs")
     if baseline_mae <= 0:
         raise ValidationError("baseline_mae must be > 0")
-    scores = [_epoch_score(r.val_mae, r.val_fa, baseline_mae) for r in history.records]
+    scores = [r.val_mae / baseline_mae - r.val_fa for r in history.records]
     return int(np.argmin(scores))
 
 

@@ -19,12 +19,26 @@ from .errors import IoError, NonIntegerEntry, ParseError
 from .synthetic import SyntheticSiteEffect
 
 
-def read_text(path) -> str:
-    """Text of a file; IoError if it cannot be read, ParseError if it is not text."""
+def read_bytes(path) -> bytes:
+    """Bytes of a file; IoError if it cannot be read."""
     try:
-        return Path(path).read_text()
+        return Path(path).read_bytes()
     except OSError as e:
         raise IoError(f"cannot read {path}: {e}") from e
+
+
+def write_bytes(path, data: bytes) -> None:
+    """Write a file; IoError if it cannot be written."""
+    try:
+        Path(path).write_bytes(data)
+    except OSError as e:
+        raise IoError(f"cannot write {path}: {e}") from e
+
+
+def read_text(path) -> str:
+    """UTF-8 text of a file; IoError if it cannot be read, ParseError if it is not text."""
+    try:
+        return read_bytes(path).decode()
     except UnicodeDecodeError as e:
         raise ParseError(f"{path}: not text: {e}") from e
 
@@ -39,11 +53,8 @@ def read_json(path):
 
 
 def write_text(path, text: str) -> None:
-    """Write a text file; IoError if it cannot be written."""
-    try:
-        Path(path).write_text(text)
-    except OSError as e:
-        raise IoError(f"cannot write {path}: {e}") from e
+    """Write a UTF-8 text file; IoError if it cannot be written."""
+    write_bytes(path, text.encode())
 
 
 def make_dir(path) -> Path:
@@ -124,14 +135,15 @@ def load_effect(path, d: int | None = None) -> SyntheticSiteEffect:
     payload = read_json(path)
     try:
         sigma = float(payload.get("noise_sigma", 0.0))
-        if "beta1_const" in payload:
-            if d is None:
-                raise ParseError(f"{path}: scalar effect shorthand requires a known edge count")
-            betas = [np.full(d, float(payload.get(f"beta{i}_const", 0.0))) for i in (1, 2, 3)]
-        else:
-            betas = [np.asarray(payload[f"beta{i}"], dtype=np.float64) for i in (1, 2, 3)]
+        scalar = "beta1_const" in payload
+        if scalar and d is None:
+            raise ParseError(f"{path}: scalar effect shorthand requires a known edge count")
+        betas = [float(payload.get(f"beta{i}_const", 0.0)) if scalar
+                 else np.asarray(payload[f"beta{i}"], dtype=np.float64) for i in (1, 2, 3)]
     except (AttributeError, KeyError, TypeError, ValueError) as e:
         raise ParseError(f"{path}: malformed effect file: {type(e).__name__} {e}") from e
+    if scalar:
+        return SyntheticSiteEffect.constant(d, *betas, noise_sigma=sigma)
     return SyntheticSiteEffect(*betas, noise_sigma=sigma)
 
 

@@ -18,11 +18,12 @@ from scharm.core import ConnectivityMatrix, SiteDescriptor, table1_sites
 from scharm.deep import ArchitectureConfig
 
 
-def _generate(tmp_path, subjects: int, out, sites_list=None) -> int:
+def _generate(tmp_path, subjects: int, out, sites_list=None,
+              effect_json='{"beta1_const": 2.0, "beta2_const": 0.002, "noise_sigma": 1.0}') -> int:
     sites = tmp_path / "sites.json"
     sio.save_sites(sites_list or table1_sites(), sites)
     effect = tmp_path / "effect.json"
-    effect.write_text('{"beta1_const": 2.0, "beta2_const": 0.002, "noise_sigma": 1.0}')
+    effect.write_text(effect_json)
     return run([
         "generate", "--nodes", "10", "--subjects", str(subjects), "--sites-file", str(sites),
         "--effect-file", str(effect), "--seed", "3", "--out-dir", str(out),
@@ -364,6 +365,33 @@ def _shrink_first_matrix(cohort_dir) -> None:
 class TestRejectedBeforeOutput:
     """Each case exits 1 (no traceback) and leaves no output behind."""
 
+    @pytest.mark.parametrize("case, error", [
+        ("zero-site-effect", "ValidationError"),  # baseline validation MAE 0
+        ("no-train-split", "EmptyCohort"),
+        ("fewer-train-records-than-a-batch", "ValidationError"),
+        ("config-kind-against-arch", "ValidationError"),
+    ])
+    def test_train_inputs_that_cannot_train(self, tmp_path, case, error):
+        cohort = tmp_path / "cohort"
+        config = _tiny_fae_config(tmp_path)
+        manifest = cohort / "manifest.json"
+        if case == "zero-site-effect":
+            zero = '{"beta1_const": 0, "beta2_const": 0, "beta3_const": 0, "noise_sigma": 0}'
+            assert _generate(tmp_path, 16, cohort, effect_json=zero) == 0
+        elif case == "fewer-train-records-than-a-batch":
+            assert _generate(tmp_path, 8, cohort) == 0  # 24 train records, batches of 32
+        else:
+            assert _generate(tmp_path, 16, cohort) == 0
+        if case == "no-train-split":
+            manifest = cohort / "retest" / "manifest.json"
+        elif case == "config-kind-against-arch":
+            config.write_text('{"kind": "gae"}')
+        proc = _run_cli(["train", "--manifest", manifest, "--arch", "fae", "--config", config,
+                         "--epochs", "1", "--out-dir", tmp_path / "model"])
+        assert proc.returncode == 1, proc.stderr
+        assert "Traceback" not in proc.stderr and error in proc.stderr
+        assert not (tmp_path / "model").exists()
+
     def test_train_on_a_site_index_beyond_the_site_count(self, tmp_path):
         model_dir = tmp_path / "model"
         assert run(["train", "--manifest", _two_site_cohort(tmp_path, (0, 5)), "--arch", "fae",
@@ -619,6 +647,14 @@ class TestNegativeArguments:
         assert proc.returncode == 1, proc.stderr
         assert proc.stderr.startswith("usage: scharm ") and "Traceback" not in proc.stderr
         assert not out.exists()
+
+    def test_usage_error_names_the_argument(self, tmp_path, cohort_dir, capsys):
+        assert run(["train", "--manifest", str(cohort_dir / "manifest.json"), "--arch", "fae",
+                    "--seed", "-1", "--out-dir", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage: scharm train ")
+        assert "argument --seed: expected an integer >= 0, got -1" in err
+        assert not (tmp_path / "out").exists()
 
     def test_train_augment_zero_is_no_augmentation(self, tmp_path, cohort_dir):
         argv = ["train", "--manifest", str(cohort_dir / "manifest.json"), "--arch", "fae",

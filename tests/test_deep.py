@@ -15,8 +15,10 @@ from scharm.deep import (
     lambda_schedule,
     select_best_epoch,
     train,
+    training_inputs,
 )
 from scharm.errors import EmptyInput, ParseError, UnknownSite, ValidationError
+from scharm.evaluation import pairwise_distances
 from conftest import random_connectome
 
 N = 8
@@ -263,14 +265,24 @@ class TestTraining:
         model = HarmonizerModel(_tiny_config("fae", norm="none"), seed=0)
         # a vanishing learning rate stalls the loss below the improvement
         # threshold, so the scheduler must cut the rate every `patience` epochs
-        hyper = TrainingConfig(epochs=17, batch_size=4, lr_encdec=1e-9, lr_aux=1e-9,
-                               plateau_patience=5, plateau_factor=0.9, seed=0,
-                               restore_best=False)
+        hyper = TrainingConfig(epochs=17, batch_size=4, lr_encdec=1e-9, lr_aux=1e-9, seed=0)
         _, history = train(model, cohort, hyper)
         rates = [r.lr_encdec for r in history.records]
         assert all(b <= a for a, b in zip(rates, rates[1:]))
         # epoch 1 sets the best loss; cuts land after each 5-epoch stall
         assert rates[-1] == pytest.approx(1e-9 * 0.9**3, rel=1e-9)
+
+    def test_keeps_the_epoch_select_best_epoch_picks(self):
+        cohort = _small_cohort()
+        hyper = TrainingConfig(epochs=10, batch_size=8, seed=0)  # best epoch 8 of 0..9
+        model = HarmonizerModel(_tiny_config("fae"), seed=0)
+        _, (sources, targets), high, baseline = training_inputs(model, cohort, hyper)
+        model, history = train(model, cohort, hyper)
+        best = select_best_epoch(history, baseline)
+        assert best < len(history.records) - 1  # the restore must change the model
+        kept = np.diagonal(pairwise_distances(model.harmonize_many(sources, high), targets)).mean()
+        assert float(kept) == history.records[best].val_mae
+        assert model.epoch == len(history.records)
 
     def test_validation_metrics_recorded(self):
         cohort = _small_cohort()
