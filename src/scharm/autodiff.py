@@ -361,17 +361,17 @@ def sigmoid_bce(logits: Tensor, targets: np.ndarray) -> Tensor:
 
 
 _ADAM_BLOCK = 32768  # elements: one block of p, g, m, v and both scratch arrays is 1.5 MB, within L2
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 
 
 class AdamState:
     """First/second moments and step counter for a fixed parameter list."""
 
-    def __init__(self, params: list[Tensor], beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
+    def __init__(self, params: list[Tensor]):
         self.params = list(params)
         self.m = [np.zeros(p.data.shape) for p in self.params]
         self.v = [np.zeros(p.data.shape) for p in self.params]
         self.scratch = (np.empty(_ADAM_BLOCK), np.empty(_ADAM_BLOCK))
-        self.beta1, self.beta2, self.eps = beta1, beta2, eps
         self.step = 0
 
 
@@ -387,7 +387,7 @@ def adam_step(state: AdamState, lr: float) -> None:
     so the bytes match that expression exactly.
     """
     state.step += 1
-    b1, b2 = state.beta1, state.beta2
+    b1, b2 = ADAM_BETA1, ADAM_BETA2
     bc1 = 1.0 - b1**state.step
     bc2 = 1.0 - b2**state.step
     for p, m, v in zip(state.params, state.m, state.v):
@@ -407,7 +407,7 @@ def adam_step(state: AdamState, lr: float) -> None:
             vb *= b2
             vb += np.multiply(np.multiply(1.0 - b2, gb, out=s), gb, out=s)
             np.multiply(lr, np.divide(mb, bc1, out=s), out=s)
-            np.add(np.sqrt(np.divide(vb, bc2, out=t), out=t), state.eps, out=t)
+            np.add(np.sqrt(np.divide(vb, bc2, out=t), out=t), ADAM_EPS, out=t)
             pb -= np.divide(s, t, out=s)
         if not p.data.flags.c_contiguous:
             p.data[...] = flat.reshape(p.data.shape)

@@ -247,7 +247,7 @@ def _cmd_evaluate(args) -> int:
         try:
             sio.write_text(norm_path, normalized)
         except IoError:
-            Path(args.out).unlink()
+            sio.remove_file(args.out)
             raise
         log.info("event=normalized-report out=%s", norm_path)
     return 0

@@ -55,7 +55,7 @@ from .errors import (
     ValidationError,
 )
 from .evaluation import fingerprint_accuracy, pairwise_distances
-from .io import json_int, read_json, write_text
+from .io import json_int, read_json, remove_file, write_text
 from .metrics import normalized_laplacian
 from .nn import AdaInConditioner, ChebConv, Dense, MLP, Module, UnitNorm
 
@@ -142,15 +142,6 @@ class TrainingHistory:
         return cls(records=[EpochRecord(**r) for r in payload["records"]])
 
 
-def lambda_schedule(epoch: int, warmup_epochs: int = 100, gamma: float = 10.0) -> float:
-    """Adversarial weight ramp: 2 / (1 + exp(-gamma * p)) - 1 with progress
-    p = min(epoch / warmup_epochs, 1); zero at epoch 0, ~1 after warmup."""
-    if epoch < 0 or warmup_epochs < 1:
-        raise ValidationError("epoch must be >= 0 and warmup_epochs >= 1")
-    p = min(epoch / warmup_epochs, 1.0)
-    return 2.0 / (1.0 + np.exp(-gamma * p)) - 1.0
-
-
 class HarmonizerModel(Module):
     """Parameter container for one architecture plus encode/decode plumbing."""
 
@@ -225,13 +216,23 @@ class HarmonizerModel(Module):
     def snapshot(self) -> dict[str, np.ndarray]:
         return {name: arr.copy() for name, arr in self.state_arrays().items()}
 
-    # -- preprocessing ---------------------------------------------------------
+    # -- data layout -----------------------------------------------------------
 
-    def _gae_laplacians(self, matrices: list[ConnectivityMatrix]) -> np.ndarray:
-        # rescaled with lambda_max fixed at 2: L~ = L - I, spectrum in [-1, 1]
-        return np.stack([normalized_laplacian(m) - np.eye(m.n) for m in matrices])
+    def prepare(self, matrices: list[ConnectivityMatrix]) -> tuple[np.ndarray, np.ndarray]:
+        """(inputs, targets) of a batch. FAE: log1p edge rows and edge rows. GAE:
+        Laplacians rescaled with lambda_max fixed at 2 (L - I, spectrum in [-1, 1])
+        and float matrices. DimensionMismatch for a matrix of another node count."""
+        for m in matrices:
+            if m.n != self.config.n_nodes:
+                raise DimensionMismatch(f"matrix has {m.n} nodes, model expects {self.config.n_nodes}")
+        if self.config.kind == "fae":
+            edges = vectorize_many(matrices)
+            return np.log1p(edges), edges
+        laps = np.stack([normalized_laplacian(m) - np.eye(m.n) for m in matrices])
+        return laps, np.stack([m.values.astype(np.float64) for m in matrices])
 
-    def _one_hot(self, site_indices: np.ndarray) -> np.ndarray:
+    def site_codes(self, site_indices) -> np.ndarray:
+        """One-hot site codes, one row per index; UnknownSite for an index outside the model."""
         idx = np.asarray(site_indices, dtype=int)
         outside = idx[(idx < 0) | (idx >= self.config.n_sites)]
         if outside.size:
@@ -240,19 +241,14 @@ class HarmonizerModel(Module):
 
     # -- forward passes ---------------------------------------------------------
 
-    def encode_batch(self, matrices: list[ConnectivityMatrix], training: bool = False):
-        """Returns (embedding Tensor, laplacian batch or None)."""
-        for m in matrices:
-            if m.n != self.config.n_nodes:
-                raise DimensionMismatch(f"matrix has {m.n} nodes, model expects {self.config.n_nodes}")
+    def encode_batch(self, inputs: np.ndarray, training: bool = False) -> Tensor:
+        """Embedding of prepared inputs: (B, K) for FAE, (B, N, K) for GAE."""
         if self.config.kind == "fae":
-            x = Tensor(np.log1p(vectorize_many(matrices)))
-            return self.embed_norm(self.encoder(x, training=training), training=training), None
-        laps = self._gae_laplacians(matrices)
-        h = Tensor(np.broadcast_to(np.eye(self.config.n_nodes), laps.shape).copy())
+            return self.embed_norm(self.encoder(Tensor(inputs), training=training), training=training)
+        h = Tensor(np.broadcast_to(np.eye(self.config.n_nodes), inputs.shape).copy())
         for conv in self.enc_convs:
-            h = conv(h, Tensor(laps), training=training)
-        return h, laps
+            h = conv(h, Tensor(inputs), training=training)
+        return h
 
     def classify_logits(self, f_e: Tensor, lam: float = 0.0, training: bool = False) -> Tensor:
         rev = grad_reversal(f_e, lam)
@@ -262,17 +258,17 @@ class HarmonizerModel(Module):
             pooled = rev
         return self.classifier(pooled, training=training)
 
-    def decode_batch(self, f_e: Tensor, site_indices: np.ndarray, laps: np.ndarray | None,
+    def decode_batch(self, f_e: Tensor, codes: np.ndarray, inputs: np.ndarray,
                      training: bool = False) -> Tensor:
-        """Raw (pre-rounding) reconstruction: (B, D) for FAE, (B, N, N) for GAE."""
-        onehot = Tensor(self._one_hot(site_indices))
-        f_m = self.mapper(onehot, training=training)
+        """Raw (pre-rounding) reconstruction from one-hot site `codes` and prepared
+        inputs: (B, D) for FAE, (B, N, N) for GAE."""
+        f_m = self.mapper(Tensor(codes), training=training)
         if self.config.kind == "fae":
             fused = concat([f_e, f_m], axis=1)
             return self.decoder(fused, training=training)
         h = self.dec_dense(f_e, training=training)
         h = self.conditioners[0](h, f_m, training=training).relu()
-        lap_t = Tensor(laps)
+        lap_t = Tensor(inputs)
         h = self.dec_convs[0](h, lap_t, training=training)
         h = self.conditioners[1](h, f_m, training=training).relu()
         h = self.dec_convs[1](h, lap_t, training=training)
@@ -292,14 +288,16 @@ class HarmonizerModel(Module):
                        target_site: SiteDescriptor) -> list[ConnectivityMatrix]:
         if not matrices:
             return []
-        f_e, laps = self.encode_batch(matrices, training=False)
-        idx = np.full(len(matrices), target_site.site_index)
-        raw = self.decode_batch(f_e, idx, laps, training=False).data
+        inputs, _ = self.prepare(matrices)
+        codes = self.site_codes(np.full(len(matrices), target_site.site_index))
+        raw = self.decode_batch(self.encode_batch(inputs), codes, inputs).data
         return [self._postprocess(r) for r in raw]
 
     # -- persistence ----------------------------------------------------------
 
     def save(self, path, history: TrainingHistory | None = None) -> None:
+        """An earlier sidecar goes first, so after a failed write `load` fails too."""
+        remove_file(str(path) + ".json")
         checkpoint.save_tensors(self.state_arrays(), path)
         sidecar = {
             "config": self.config.to_dict(),
@@ -332,6 +330,16 @@ class HarmonizerModel(Module):
 PLATEAU_FACTOR = 0.9
 PLATEAU_PATIENCE = 5
 PLATEAU_THRESHOLD = 1e-5
+LAMBDA_WARMUP_EPOCHS, LAMBDA_GAMMA = 100, 10.0  # adversarial weight ramp
+
+
+def lambda_schedule(epoch: int) -> float:
+    """Adversarial weight ramp: 2 / (1 + exp(-LAMBDA_GAMMA * p)) - 1 with progress
+    p = min(epoch / LAMBDA_WARMUP_EPOCHS, 1); zero at epoch 0, ~1 after warmup."""
+    if epoch < 0:
+        raise ValidationError(f"epoch must be >= 0, got {epoch}")
+    p = min(epoch / LAMBDA_WARMUP_EPOCHS, 1.0)
+    return 2.0 / (1.0 + np.exp(-LAMBDA_GAMMA * p)) - 1.0
 
 
 @dataclass
@@ -367,7 +375,7 @@ def training_inputs(model: HarmonizerModel, cohort: CohortManifest, hyper: Train
     if cohort.n_nodes != model.config.n_nodes:
         raise DimensionMismatch(f"cohort has {cohort.n_nodes} nodes, model expects {model.config.n_nodes}")
     low, high = lowest_quality_site(cohort.sites), highest_quality_site(cohort.sites)
-    model._one_hot([r.site.site_index for r in train_records] + [high.site_index])
+    model.site_codes([r.site.site_index for r in train_records] + [high.site_index])
     val_pairs = pair_by_subject(cohort.records(split="val", site_index=low.site_index),
                                 cohort.records(split="val", site_index=high.site_index))
     sources, targets = [s.matrix for s, _ in val_pairs], [t.matrix for _, t in val_pairs]
@@ -394,12 +402,7 @@ def train(model: HarmonizerModel, cohort: CohortManifest,
     train_records, (val_sources, val_targets), high, baseline_mae = training_inputs(model, cohort, hyper)
 
     matrices = [r.matrix for r in train_records]
-    site_idx = np.array([r.site.site_index for r in train_records])
-    if cfg.kind == "fae":
-        targets = vectorize_many(matrices)
-    else:
-        targets = np.stack([m.values.astype(np.float64) for m in matrices])
-    bce_targets = (targets > 0).astype(np.float64) if cfg.bce_enabled else None
+    codes = model.site_codes([r.site.site_index for r in train_records])
 
     opt_encdec = AdamState(model.encdec_parameters())
     opt_aux = AdamState(model.aux_parameters())
@@ -413,22 +416,21 @@ def train(model: HarmonizerModel, cohort: CohortManifest,
     for epoch in range(hyper.epochs):
         lam = lambda_schedule(epoch)
         order = substream(hyper.seed, "shuffle", epoch).permutation(n)
-        sums = {"total": 0.0, "mae": 0.0, "ce": 0.0, "bce": 0.0}
-        seen = 0
+        sums = np.zeros(4)  # total, MAE, CE and BCE loss, each times its batch size
         for b_start in range(0, n, hyper.batch_size):
             batch = order[b_start : b_start + hyper.batch_size]
-            batch_mats = [matrices[i] for i in batch]
-            f_e, laps = model.encode_batch(batch_mats, training=True)
+            inputs, targets = model.prepare([matrices[i] for i in batch])
+            f_e = model.encode_batch(inputs, training=True)
             logits = model.classify_logits(f_e, lam=lam, training=True)
-            recon = model.decode_batch(f_e, site_idx[batch], laps, training=True)
-            l_mae = weighted_mae_loss(recon, targets[batch], cfg.edge_loss_weight)
-            l_ce = softmax_cross_entropy(logits, model._one_hot(site_idx[batch]))
+            recon = model.decode_batch(f_e, codes[batch], inputs, training=True)
+            l_mae = weighted_mae_loss(recon, targets, cfg.edge_loss_weight)
+            l_ce = softmax_cross_entropy(logits, codes[batch])
             total = l_mae + l_ce
             l_bce_val = 0.0
             if cfg.bce_enabled:
-                l_bce = sigmoid_bce(recon, bce_targets[batch])
+                l_bce = sigmoid_bce(recon, (targets > 0).astype(np.float64))
                 total = total + l_bce
-                l_bce_val = float(l_bce.data)
+                l_bce_val = l_bce.data
             if not np.isfinite(total.data):
                 raise NonFiniteLoss(epoch, b_start // hyper.batch_size)
             zero_grads(opt_encdec.params)
@@ -436,33 +438,17 @@ def train(model: HarmonizerModel, cohort: CohortManifest,
             total.backward()
             adam_step(opt_encdec, lr_encdec)
             adam_step(opt_aux, lr_aux)
-            w = len(batch)
-            sums["total"] += float(total.data) * w
-            sums["mae"] += float(l_mae.data) * w
-            sums["ce"] += float(l_ce.data) * w
-            sums["bce"] += l_bce_val * w
-            seen += w
-        epoch_loss = sums["total"] / seen
+            sums += np.array([total.data, l_mae.data, l_ce.data, l_bce_val]) * len(batch)
+        epoch_loss, mae_loss, ce_loss, bce_loss = map(float, sums / n)
 
         val_mae, val_fa = np.nan, np.nan
         if val_sources:
             harmonized = model.harmonize_many(val_sources, high)
             val_mae, val_fa = _validation_scores(harmonized, val_targets)
 
-        history.records.append(
-            EpochRecord(
-                epoch=epoch,
-                total_loss=epoch_loss,
-                mae_loss=sums["mae"] / seen,
-                ce_loss=sums["ce"] / seen,
-                bce_loss=sums["bce"] / seen,
-                lam=lam,
-                val_mae=float(val_mae),
-                val_fa=float(val_fa),
-                lr_encdec=lr_encdec,
-                lr_aux=lr_aux,
-            )
-        )
+        history.records.append(EpochRecord(
+            epoch=epoch, total_loss=epoch_loss, mae_loss=mae_loss, ce_loss=ce_loss, bce_loss=bce_loss,
+            lam=lam, val_mae=float(val_mae), val_fa=float(val_fa), lr_encdec=lr_encdec, lr_aux=lr_aux))
         if val_sources and select_best_epoch(history, baseline_mae) == epoch:
             best_state = model.snapshot()
 
@@ -501,7 +487,7 @@ def export_embeddings(model: HarmonizerModel, cohort: CohortManifest) -> str:
     k = model.config.embedding_dim
     lines = [",".join(["subject_id", "site_index"] + [f"e{i}" for i in range(k)])]
     for rec in cohort.subjects:
-        emb = model.encode_batch([rec.matrix])[0].data[0]
+        emb = model.encode_batch(model.prepare([rec.matrix])[0]).data[0]
         pooled = emb.mean(axis=0) if emb.ndim == 2 else emb
         lines.append(",".join([rec.subject_id, str(rec.site.site_index)] + [f"{v:.10g}" for v in pooled]))
     return "\n".join(lines) + "\n"

@@ -57,6 +57,14 @@ def write_text(path, text: str) -> None:
     write_bytes(path, text.encode())
 
 
+def remove_file(path) -> None:
+    """Delete a file if it exists; IoError if it cannot be deleted."""
+    try:
+        Path(path).unlink(missing_ok=True)
+    except OSError as e:
+        raise IoError(f"cannot remove {path}: {e}") from e
+
+
 def make_dir(path) -> Path:
     """Create a directory and its parents; IoError if it cannot be created."""
     path = Path(path)

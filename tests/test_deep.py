@@ -3,8 +3,8 @@ import json
 import numpy as np
 import pytest
 
-from scharm import ConnectivityMatrix, split_cohort
-from scharm.core import CohortManifest, SubjectRecord, table1_sites
+from scharm import ConnectivityMatrix, deep, split_cohort
+from scharm.core import CohortManifest, SiteDescriptor, SubjectRecord, table1_sites
 from scharm.deep import (
     ArchitectureConfig,
     EpochRecord,
@@ -17,8 +17,9 @@ from scharm.deep import (
     train,
     training_inputs,
 )
-from scharm.errors import EmptyInput, ParseError, UnknownSite, ValidationError
+from scharm.errors import DimensionMismatch, EmptyInput, IoError, ParseError, UnknownSite, ValidationError
 from scharm.evaluation import pairwise_distances
+from scharm.metrics import normalized_laplacian
 from conftest import random_connectome
 
 N = 8
@@ -68,8 +69,6 @@ class TestLambdaSchedule:
     def test_validation(self):
         with pytest.raises(ValidationError):
             lambda_schedule(-1)
-        with pytest.raises(ValidationError):
-            lambda_schedule(5, warmup_epochs=0)
 
 
 class TestArchitectureConfig:
@@ -102,11 +101,40 @@ class TestArchitectureConfig:
 class TestModelPlumbing:
     def test_encode_deterministic(self, kind, rng):
         model = HarmonizerModel(_tiny_config(kind), seed=3)
-        m = random_connectome(rng, N)
-        assert np.array_equal(model.encode_batch([m])[0].data[0], model.encode_batch([m])[0].data[0])
+        inputs, _ = model.prepare([random_connectome(rng, N)])
+        assert np.array_equal(model.encode_batch(inputs).data[0], model.encode_batch(inputs).data[0])
         # same seed, fresh model: identical initialization
         again = HarmonizerModel(_tiny_config(kind), seed=3)
-        assert np.array_equal(again.encode_batch([m])[0].data[0], model.encode_batch([m])[0].data[0])
+        assert np.array_equal(again.encode_batch(inputs).data[0], model.encode_batch(inputs).data[0])
+
+    def test_prepared_batch_is_the_stack_of_its_records(self, kind, rng):
+        # so preparing batch by batch gives the bytes of slicing one whole-split array
+        model = HarmonizerModel(_tiny_config(kind), seed=0)
+        ms = [random_connectome(rng, N, density=d) for d in (0.3, 0.7, 1.0, 0.7)]
+        inputs, targets = model.prepare(ms)
+        singles = [model.prepare([m]) for m in ms]
+        assert inputs.tobytes() == np.concatenate([i for i, _ in singles]).tobytes()
+        assert targets.tobytes() == np.concatenate([t for _, t in singles]).tobytes()
+        assert inputs.shape == targets.shape == ((4, 28) if kind == "fae" else (4, N, N))
+        if kind == "fae":
+            assert np.array_equal(inputs, np.log1p(targets))
+        else:
+            assert np.array_equal(inputs[0], normalized_laplacian(ms[0]) - np.eye(N))
+
+    def test_targets_postprocess_to_the_matrices(self, kind, rng):
+        model = HarmonizerModel(_tiny_config(kind), seed=0)
+        ms = [random_connectome(rng, N, density=d) for d in (0.3, 0.7, 1.0)]
+        _, targets = model.prepare(ms)
+        for target, m in zip(targets, ms):
+            assert model._postprocess(target) == m
+
+    def test_wrong_node_count(self, kind, rng):
+        model = HarmonizerModel(_tiny_config(kind), seed=0)
+        m = random_connectome(rng, N + 1)
+        with pytest.raises(DimensionMismatch):
+            model.prepare([random_connectome(rng, N), m])
+        with pytest.raises(DimensionMismatch):
+            model.harmonize_many([m], SITES[3])
 
     def test_harmonize_output_contract(self, kind, rng):
         model = HarmonizerModel(_tiny_config(kind), seed=0)
@@ -124,13 +152,10 @@ class TestModelPlumbing:
             p.data += perturb.standard_normal(p.data.shape)
         for cond in model.conditioners:
             cond.shift_net.w.data += perturb.standard_normal(cond.shift_net.w.data.shape)
-        m = random_connectome(rng, N)
-        f_e = model.encode_batch([m])[0].data[0]
-        laps = model._gae_laplacians([m]) if kind == "gae" else None
-        from scharm.autodiff import Tensor
-
-        raw0 = model.decode_batch(Tensor(f_e[None]), np.array([0]), laps).data
-        raw3 = model.decode_batch(Tensor(f_e[None]), np.array([3]), laps).data
+        inputs, _ = model.prepare([random_connectome(rng, N)])
+        f_e = model.encode_batch(inputs)
+        raw0 = model.decode_batch(f_e, model.site_codes([0]), inputs).data
+        raw3 = model.decode_batch(f_e, model.site_codes([3]), inputs).data
         assert not np.allclose(raw0, raw3)
 
     def test_save_load_bit_exact(self, kind, rng, tmp_path):
@@ -173,15 +198,30 @@ class TestModelPlumbing:
 
     def test_unknown_target_site(self, kind, rng):
         model = HarmonizerModel(_tiny_config(kind), seed=0)
-        from scharm.core import SiteDescriptor
-
         m = random_connectome(rng, N)
         bad = SiteDescriptor(b_value=5000.0, resolution=1.0, site_index=9)
-        f_e, laps = model.encode_batch([m])
-        with pytest.raises(UnknownSite):
-            model.decode_batch(f_e, np.array([bad.site_index]), laps)
+        assert np.array_equal(model.site_codes([2, 0]), np.eye(4)[[2, 0]])
+        for index in (bad.site_index, 4, -1):
+            with pytest.raises(UnknownSite):
+                model.site_codes([0, index])
         with pytest.raises(UnknownSite):
             model.harmonize_many([m], bad)
+
+    def test_failed_save_leaves_no_stale_sidecar(self, kind, tmp_path, monkeypatch):
+        # a sidecar from an earlier save must not describe the weights of a failed one
+        path = tmp_path / "model.bin"
+        earlier = HarmonizerModel(_tiny_config(kind), seed=0)
+        earlier.epoch = 7
+        earlier.save(path)
+
+        def refuse(path, text):
+            raise IoError(f"cannot write {path}")
+
+        monkeypatch.setattr(deep, "write_text", refuse)
+        with pytest.raises(IoError):
+            HarmonizerModel(_tiny_config(kind), seed=5).save(path)
+        with pytest.raises(IoError):
+            HarmonizerModel.load(path)
 
     @pytest.mark.parametrize("field, value", [("seed", "x"), ("seed", -1), ("epoch", "x")])
     def test_wrong_typed_sidecar_field_is_parse_error(self, kind, tmp_path, field, value):
@@ -216,18 +256,18 @@ class TestModelPlumbing:
 class TestGaeShapes:
     def test_embedding_is_per_node(self, rng):
         model = HarmonizerModel(_tiny_config("gae"), seed=2)
-        m = random_connectome(rng, N, density=0.8)
-        f, laps = model.encode_batch([m])
+        inputs, _ = model.prepare([random_connectome(rng, N, density=0.8)])
+        f = model.encode_batch(inputs)
         assert f.data.shape == (1, N, model.config.embedding_dim)
-        assert laps.shape == (1, N, N)
-        assert model.encode_batch([m])[0].data[0].shape == (N, model.config.embedding_dim)
+        assert inputs.shape == (1, N, N)
+        assert model.encode_batch(inputs).data[0].shape == (N, model.config.embedding_dim)
 
     def test_reconstruction_is_symmetric_zero_diagonal(self, rng):
         # exactly: harmonize_many rounds the raw GAE output without re-symmetrizing it
         model = HarmonizerModel(_tiny_config("gae"), seed=2)
         ms = [random_connectome(rng, N, density=d) for d in (0.3, 0.6, 0.8, 1.0, 0.8)]
-        f, laps = model.encode_batch(ms)
-        raw = model.decode_batch(f, np.array([0, 1, 2, 1, 0]), laps).data
+        inputs, _ = model.prepare(ms)
+        raw = model.decode_batch(model.encode_batch(inputs), model.site_codes([0, 1, 2, 1, 0]), inputs).data
         assert raw.shape == (len(ms), N, N)
         assert np.array_equal(raw, raw.transpose(0, 2, 1))
         assert np.all(np.diagonal(raw, axis1=1, axis2=2) == 0.0)
