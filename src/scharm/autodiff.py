@@ -1,9 +1,17 @@
 """Minimal reverse-mode differentiation over dense float64 arrays.
 
-A Tensor wraps a numpy array and records the backward closure of the op that
-produced it; backward() walks the graph in reverse topological order, summing
-gradients at fan-out points. Only the primitives the harmonization models
-need are implemented.
+A Tensor wraps a numpy array. An op whose output requires a gradient records
+its operands and backward closure on the output; backward() walks that graph
+in reverse topological order, summing gradients at fan-out points. Only the
+primitives the harmonization models need are implemented.
+
+One graph at a time: backward() releases each node once its closure has run.
+An interior node loses its `.grad`, its closure and its operands, so the
+graph's arrays are freed while backward walks it; leaves and the root keep
+their `.grad`. A second backward() through a released node raises
+ValidationError instead of returning no gradient. Under `no_grad()` op
+outputs never require a gradient and record nothing, so inference holds no
+graph; a tensor made there with `requires_grad=True` is still a parameter.
 
 Gradient arrays are shared, not owned: an op may hand one array, or views of
 it, to several tensors (`__add__` gives the same array to both operands), and
@@ -13,6 +21,9 @@ never be modified in place; accumulation assigns a new array instead.
 """
 
 from __future__ import annotations
+
+import contextlib
+import threading
 
 import numpy as np
 
@@ -32,15 +43,33 @@ def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
     return grad
 
 
+class _Recording(threading.local):
+    on = True  # per thread: no_grad() in one thread leaves another's graph whole
+
+
+_recording = _Recording()
+
+
+@contextlib.contextmanager
+def no_grad():
+    """Run the block (or the decorated function) without recording a graph:
+    op outputs do not require a gradient, whatever their operands."""
+    previous, _recording.on = _recording.on, False
+    try:
+        yield
+    finally:
+        _recording.on = previous
+
+
 class Tensor:
     __slots__ = ("data", "grad", "requires_grad", "_children", "_backward")
 
-    def __init__(self, data, requires_grad=False, _children=(), _backward=None):
+    def __init__(self, data, requires_grad=False):
         self.data = np.asarray(data, dtype=np.float64)
         self.grad = None
-        self.requires_grad = requires_grad or any(c.requires_grad for c in _children)
-        self._children = _children
-        self._backward = _backward
+        self.requires_grad = requires_grad
+        self._children = ()  # None once backward() has released the node
+        self._backward = None
 
     @property
     def shape(self):
@@ -58,13 +87,13 @@ class Tensor:
             grad = np.ones_like(self.data)
         # iterative depth-first post-order: children before parents, in child order
         topo, seen = [], {id(self)}
-        stack = [(self, iter(self._children))] if self.requires_grad else []
+        stack = [(self, self._operands())] if self.requires_grad else []
         while stack:
             t, children = stack[-1]
             for c in children:
                 if id(c) not in seen and c.requires_grad:
                     seen.add(id(c))
-                    stack.append((c, iter(c._children)))
+                    stack.append((c, c._operands()))
                     break
             else:
                 stack.pop()
@@ -72,9 +101,18 @@ class Tensor:
         for t in topo:
             t.grad = None
         self.grad = np.array(grad, dtype=np.float64)
-        for t in reversed(topo):
+        while topo:  # parents first; a popped interior node is released after its closure
+            t = topo.pop()
             if t._backward is not None:
                 t._backward(t.grad)
+                t._children = t._backward = None
+                if t is not self:
+                    t.grad = None
+
+    def _operands(self):
+        if self._children is None:
+            raise ValidationError("backward() through a graph that an earlier backward() released")
+        return iter(self._children)
 
     def _accumulate(self, grad):
         if not self.requires_grad:
@@ -89,28 +127,23 @@ class Tensor:
 
     def __add__(self, other):
         other = Tensor._lift(other)
-        out = Tensor(self.data + other.data, _children=(self, other))
 
         def backward(g):
             self._accumulate(_unbroadcast(g, self.data.shape))
             other._accumulate(_unbroadcast(g, other.data.shape))
 
-        out._backward = backward
-        return out
+        return _result(self.data + other.data, (self, other), backward)
 
     __radd__ = __add__
 
     def __neg__(self):
-        out = Tensor(-self.data, _children=(self,))
-        out._backward = lambda g: self._accumulate(-g)
-        return out
+        return _result(-self.data, (self,), lambda g: self._accumulate(-g))
 
     def __sub__(self, other):
         return self + (-Tensor._lift(other))
 
     def __mul__(self, other):
         other = Tensor._lift(other)
-        out = Tensor(self.data * other.data, _children=(self, other))
 
         def backward(g):
             if self.requires_grad:
@@ -118,8 +151,7 @@ class Tensor:
             if other.requires_grad:
                 other._accumulate(_unbroadcast(g * self.data, other.data.shape))
 
-        out._backward = backward
-        return out
+        return _result(self.data * other.data, (self, other), backward)
 
     __rmul__ = __mul__
 
@@ -127,13 +159,11 @@ class Tensor:
         return self * Tensor._lift(other).pow(-1.0)
 
     def pow(self, exponent: float):
-        out = Tensor(self.data**exponent, _children=(self,))
-        out._backward = lambda g: self._accumulate(g * exponent * self.data ** (exponent - 1.0))
-        return out
+        return _result(self.data**exponent, (self,),
+                       lambda g: self._accumulate(g * exponent * self.data ** (exponent - 1.0)))
 
     def matmul(self, other):
         other = Tensor._lift(other)
-        out = Tensor(np.matmul(self.data, other.data), _children=(self, other))
 
         def backward(g):
             a, b = self.data, other.data
@@ -144,50 +174,36 @@ class Tensor:
             if other.requires_grad:
                 other._accumulate(_unbroadcast(np.matmul(np.swapaxes(a, -1, -2), g), b.shape))
 
-        out._backward = backward
-        return out
+        return _result(np.matmul(self.data, other.data), (self, other), backward)
 
     __matmul__ = matmul
 
     def relu(self):
-        out = Tensor(np.maximum(self.data, 0.0), _children=(self,))
-        out._backward = lambda g: self._accumulate(g * (self.data > 0))
-        return out
+        return _result(np.maximum(self.data, 0.0), (self,), lambda g: self._accumulate(g * (self.data > 0)))
 
     def exp(self):
-        data = np.exp(self.data)  # captured instead of `out`, which would make a cycle
-        out = Tensor(data, _children=(self,))
-        out._backward = lambda g: self._accumulate(g * data)
-        return out
+        data = np.exp(self.data)  # captured instead of the output, which would make a cycle
+        return _result(data, (self,), lambda g: self._accumulate(g * data))
 
     def log(self):
-        out = Tensor(np.log(self.data), _children=(self,))
-        out._backward = lambda g: self._accumulate(g / self.data)
-        return out
+        return _result(np.log(self.data), (self,), lambda g: self._accumulate(g / self.data))
 
     def abs(self):
-        out = Tensor(np.abs(self.data), _children=(self,))
         # subgradient at zero is zero
-        out._backward = lambda g: self._accumulate(g * np.sign(self.data))
-        return out
+        return _result(np.abs(self.data), (self,), lambda g: self._accumulate(g * np.sign(self.data)))
 
     def sqrt(self):
         data = np.sqrt(self.data)
-        out = Tensor(data, _children=(self,))
-        out._backward = lambda g: self._accumulate(g * 0.5 / np.maximum(data, 1e-300))
-        return out
+        return _result(data, (self,), lambda g: self._accumulate(g * 0.5 / np.maximum(data, 1e-300)))
 
     def sum(self, axis=None, keepdims=False):
-        out = Tensor(self.data.sum(axis=axis, keepdims=keepdims), _children=(self,))
-
         def backward(g):
             if axis is not None and not keepdims:
                 axes = axis if isinstance(axis, tuple) else (axis,)
                 g = np.expand_dims(g, axes)
             self._accumulate(np.broadcast_to(g, self.data.shape).copy())
 
-        out._backward = backward
-        return out
+        return _result(self.data.sum(axis=axis, keepdims=keepdims), (self,), backward)
 
     def mean(self, axis=None, keepdims=False):
         count = self.data.size if axis is None else np.prod(
@@ -197,32 +213,26 @@ class Tensor:
 
     def max(self, axis, keepdims=False):
         out_data = self.data.max(axis=axis, keepdims=True)
-        mask = (self.data == out_data).astype(np.float64)
-        mask /= mask.sum(axis=axis, keepdims=True)  # split ties evenly
-        out = Tensor(out_data if keepdims else np.squeeze(out_data, axis=axis), _children=(self,))
 
         def backward(g):
+            mask = (self.data == out_data).astype(np.float64)
+            mask /= mask.sum(axis=axis, keepdims=True)  # split ties evenly
             if not keepdims:
                 g = np.expand_dims(g, axis)
             self._accumulate(mask * g)
 
-        out._backward = backward
-        return out
+        return _result(out_data if keepdims else np.squeeze(out_data, axis=axis), (self,), backward)
 
     def reshape(self, *shape):
-        out = Tensor(self.data.reshape(*shape), _children=(self,))
-        out._backward = lambda g: self._accumulate(g.reshape(self.data.shape))
-        return out
+        return _result(self.data.reshape(*shape), (self,),
+                       lambda g: self._accumulate(g.reshape(self.data.shape)))
 
     def transpose(self, *axes):
         axes = axes or None
-        out = Tensor(self.data.transpose(axes), _children=(self,))
         inv = np.argsort(axes) if axes else None
-        out._backward = lambda g: self._accumulate(g.transpose(inv))
-        return out
+        return _result(self.data.transpose(axes), (self,), lambda g: self._accumulate(g.transpose(inv)))
 
     def __getitem__(self, idx):
-        out = Tensor(self.data[idx], _children=(self,))
         # an int/slice index selects each element at most once, so a plain
         # scatter-add is exact; any other index may repeat and needs np.add.at
         basic = all(isinstance(i, (int, np.integer, slice)) and not isinstance(i, bool)
@@ -236,12 +246,19 @@ class Tensor:
                 np.add.at(full, idx, g)
             self._accumulate(full)
 
-        out._backward = backward
-        return out
+        return _result(self.data[idx], (self,), backward)
+
+
+def _result(data, operands: tuple, backward) -> Tensor:
+    """An op's output. It records its operands and backward closure, and so
+    requires a gradient, only when an operand does and no_grad() is not active."""
+    out = Tensor(data)
+    if _recording.on and any(t.requires_grad for t in operands):
+        out.requires_grad, out._children, out._backward = True, operands, backward
+    return out
 
 
 def concat(tensors: list[Tensor], axis: int) -> Tensor:
-    out = Tensor(np.concatenate([t.data for t in tensors], axis=axis), _children=tuple(tensors))
     sizes = [t.data.shape[axis] for t in tensors]
     bounds = np.cumsum([0] + sizes)
 
@@ -251,17 +268,14 @@ def concat(tensors: list[Tensor], axis: int) -> Tensor:
             sl[axis] = slice(lo, hi)
             t._accumulate(g[tuple(sl)])
 
-    out._backward = backward
-    return out
+    return _result(np.concatenate([t.data for t in tensors], axis=axis), tuple(tensors), backward)
 
 
 def grad_reversal(x: Tensor, lam: float) -> Tensor:
     """Identity forward; backward scales the upstream gradient by -lam."""
     if lam < 0:
         raise ValidationError("lambda must be >= 0")
-    out = Tensor(x.data.copy(), _children=(x,))
-    out._backward = lambda g: x._accumulate(-lam * g)
-    return out
+    return _result(x.data.copy(), (x,), lambda g: x._accumulate(-lam * g))
 
 
 def adain(f_e: Tensor, scale: Tensor, shift: Tensor, eps: float = 1e-5) -> Tensor:

@@ -185,11 +185,12 @@ def _cmd_train(args) -> int:
         config = ArchitectureConfig.from_dict({**config.to_dict(), **overrides})
     model = HarmonizerModel(config, seed=args.seed)
     hyper = TrainingConfig(epochs=args.epochs, seed=args.seed)
+    training_inputs(model, manifest)  # every error augmenting cannot cure, before it runs
     if args.augment > 0:
         manifest = aug.augment_cohort(manifest, args.augment, seed=args.seed)
         log.info("event=augmented-train per_site=%d total=%d",
                  args.augment, len(manifest.records(split="train")))
-    training_inputs(model, manifest, hyper)  # every input error before --out-dir exists
+    training_inputs(model, manifest, hyper)  # and the batch size, before --out-dir exists
     out_dir = sio.make_dir(args.out_dir)  # before training, so a bad --out-dir costs no run
     model, history = train(model, manifest, hyper)
     model.save(out_dir / "model.bin", history=history)
@@ -199,10 +200,10 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_harmonize(args) -> int:
-    manifest = sio.load_cohort(args.manifest)
-    target = manifest.site_by_index(args.target_site)
     source_idx = (args.source_site if args.source_site is not None
-                  else lowest_quality_site(manifest.sites).site_index)
+                  else lowest_quality_site(sio.manifest_sites(args.manifest)).site_index)
+    manifest = sio.load_cohort(args.manifest, site_index=source_idx)  # no other site's files
+    target = manifest.site_by_index(args.target_site)
     source = manifest.site_by_index(source_idx)
     records = manifest.records(site_index=source_idx)
     if not records:

@@ -9,7 +9,8 @@ conditioned on the fused representation.
 
 Training, inference and embedding export run on one BLAS thread
 (`blas.one_thread`): matrix-product bytes depend on the thread count, and one
-seed must give one model on any host.
+seed must give one model on any host. Inference and embedding export record
+no autodiff graph (`autodiff.no_grad`).
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ from .autodiff import (
     adam_step,
     concat,
     grad_reversal,
+    no_grad,
     sigmoid_bce,
     softmax_cross_entropy,
     weighted_mae_loss,
@@ -284,6 +286,7 @@ class HarmonizerModel(Module):
         return ConnectivityMatrix(round_counts(raw))  # decode_batch is symmetric, zero diagonal
 
     @one_thread()
+    @no_grad()
     def harmonize_many(self, matrices: list[ConnectivityMatrix],
                        target_site: SiteDescriptor) -> list[ConnectivityMatrix]:
         if not matrices:
@@ -362,15 +365,17 @@ def _validation_scores(harmonized: list[ConnectivityMatrix],
     return float(np.diagonal(p).mean()), fingerprint_accuracy(p)
 
 
-def training_inputs(model: HarmonizerModel, cohort: CohortManifest, hyper: TrainingConfig):
+def training_inputs(model: HarmonizerModel, cohort: CohortManifest, hyper: TrainingConfig | None = None):
     """Check every input `train` needs; returns the train records, the validation
     pairs as (lowest-quality, highest-quality) matrix lists, the highest-quality site
     and the unharmonized validation MAE (None without pairs). EmptyCohort, DimensionMismatch,
-    UnknownSite, or ValidationError when one batch does not fit or that MAE is 0."""
+    UnknownSite, or ValidationError when one batch does not fit or that MAE is 0.
+    Without `hyper` the batch size goes unchecked: that is the one check that
+    augmenting the train split can change."""
     train_records = cohort.records(split="train")
     if not train_records:
         raise EmptyCohort("no training subjects")
-    if hyper.batch_size > len(train_records):
+    if hyper is not None and hyper.batch_size > len(train_records):
         raise ValidationError(f"batch size {hyper.batch_size} exceeds {len(train_records)} train records")
     if cohort.n_nodes != model.config.n_nodes:
         raise DimensionMismatch(f"cohort has {cohort.n_nodes} nodes, model expects {model.config.n_nodes}")
@@ -481,6 +486,7 @@ def select_best_epoch(history: TrainingHistory, baseline_mae: float) -> int:
 
 
 @one_thread()
+@no_grad()
 def export_embeddings(model: HarmonizerModel, cohort: CohortManifest) -> str:
     """CSV dump of encoder embeddings, one row per (subject, site) record;
     GAE embeddings are mean-pooled over nodes to K values."""

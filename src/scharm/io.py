@@ -223,8 +223,40 @@ def save_cohort(manifest: CohortManifest, out_dir) -> Path:
     return manifest_path
 
 
-def load_cohort(manifest_path) -> CohortManifest:
+def manifest_sites(manifest_path) -> list[SiteDescriptor]:
+    """The site table of a cohort manifest, sorted by index; reads no matrix file."""
+    return _read_manifest(Path(manifest_path))[0]
+
+
+def load_cohort(manifest_path, site_index: int | None = None) -> CohortManifest:
+    """The cohort a manifest indexes. With `site_index`, only that site's records
+    are loaded, and no other record's matrix or latent file is read; the site
+    table and split labels stay whole."""
     manifest_path = Path(manifest_path)
+    site_list, entries, splits, seed = _read_manifest(manifest_path)
+    latent_cache: dict[Path, ConnectivityMatrix] = {}
+    records = []
+    for entry, sid, site, matrix_path, latent_path in entries:
+        if site_index is not None and site.site_index != site_index:
+            continue
+        if latent_path is not None and latent_path not in latent_cache:
+            latent_cache[latent_path] = load_matrix(latent_path)
+        records.append(
+            SubjectRecord(
+                subject_id=sid,
+                site=site,
+                matrix=load_matrix(matrix_path),
+                group_key=entry.get("group_key"),
+                latent_truth=latent_cache.get(latent_path),
+            )
+        )
+    split_labels = {sid: split for sid, split in splits.items() if split}
+    return CohortManifest(subjects=records, sites=site_list, split_labels=split_labels, seed=seed)
+
+
+def _read_manifest(manifest_path: Path):
+    """(sites sorted by index, one (entry, id, site, matrix path, latent path)
+    per record, {subject id: split}, seed) of a manifest; ParseError if malformed."""
     payload = read_json(manifest_path)
     base = manifest_path.parent
     try:
@@ -246,19 +278,4 @@ def load_cohort(manifest_path) -> CohortManifest:
         seed = json_int(payload.get("seed", 0), "seed")
     except (KeyError, TypeError, ValueError) as e:
         raise ParseError(f"{manifest_path}: malformed manifest: {type(e).__name__} {e}") from e
-    latent_cache: dict[Path, ConnectivityMatrix] = {}
-    records = []
-    for entry, sid, site, matrix_path, latent_path in entries:
-        if latent_path is not None and latent_path not in latent_cache:
-            latent_cache[latent_path] = load_matrix(latent_path)
-        records.append(
-            SubjectRecord(
-                subject_id=sid,
-                site=site,
-                matrix=load_matrix(matrix_path),
-                group_key=entry.get("group_key"),
-                latent_truth=latent_cache.get(latent_path),
-            )
-        )
-    split_labels = {sid: split for sid, split in splits.items() if split}
-    return CohortManifest(subjects=records, sites=site_list, split_labels=split_labels, seed=seed)
+    return site_list, entries, splits, seed

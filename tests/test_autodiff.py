@@ -1,4 +1,5 @@
 import gc
+import threading
 
 import numpy as np
 import pytest
@@ -13,12 +14,13 @@ from scharm.autodiff import (
     check_rescaled_laplacian,
     concat,
     grad_reversal,
+    no_grad,
     sigmoid_bce,
     softmax_cross_entropy,
     weighted_mae_loss,
     zero_grads,
 )
-from scharm.errors import DimensionMismatch, SpectrumOutOfRange
+from scharm.errors import DimensionMismatch, SpectrumOutOfRange, ValidationError
 from scharm.metrics import normalized_laplacian
 from conftest import random_connectome
 from _oracles import bf_adam_step, softmax
@@ -242,6 +244,71 @@ class TestElementwiseGradients:
             assert gc.collect() == 0
         finally:
             gc.enable()
+
+
+class TestGraphRelease:
+    def _graph(self, rng):
+        x = Tensor(rng.standard_normal((3, 4)), requires_grad=True)
+        w = Tensor(rng.standard_normal((4, 2)), requires_grad=True)
+        h = (x @ w).relu()
+        root = (h * h).sum()
+        return x, w, h, root
+
+    def test_backward_releases_interior_nodes(self, rng):
+        x, w, h, root = self._graph(rng)
+        root.backward()
+        assert x.grad is not None and w.grad is not None
+        assert root.grad is not None and h.grad is None
+        for t in (h, root):
+            assert not t._children and t._backward is None
+
+    def test_second_backward_raises(self, rng):
+        _, _, h, root = self._graph(rng)
+        root.backward()
+        with pytest.raises(ValidationError, match="released"):
+            root.backward()
+        with pytest.raises(ValidationError, match="released"):  # a new graph over a released node
+            (h + 1.0).sum().backward()
+
+    def test_no_grad_records_no_graph(self, rng):
+        x, w, _, _ = self._graph(rng)
+        with no_grad():
+            out = (x @ w).relu().sum()
+        assert not out.requires_grad and out._children == () and out._backward is None
+        assert (x @ w).requires_grad  # recording resumes after the block
+
+    def test_parameter_made_under_no_grad_is_a_parameter(self, rng):
+        with no_grad():
+            p = Tensor(rng.standard_normal(3), requires_grad=True)
+        (p * p).sum().backward()
+        assert p.requires_grad and np.array_equal(p.grad, 2.0 * p.data)
+
+    def test_no_grad_nests_and_restores_recording_after_an_error(self, rng):
+        x = Tensor(rng.standard_normal(3), requires_grad=True)
+        with pytest.raises(KeyError):
+            with no_grad():
+                with no_grad():
+                    pass
+                assert not (x * 2.0).requires_grad
+                raise KeyError
+        assert (x * 2.0).requires_grad
+
+    def test_no_grad_holds_for_its_own_thread_only(self, rng):
+        x = Tensor(rng.standard_normal(3), requires_grad=True)
+        entered, done, seen = threading.Event(), threading.Event(), []
+
+        def other():
+            entered.wait(timeout=10)
+            seen.append((x * 2.0).requires_grad)
+            done.set()
+
+        worker = threading.Thread(target=other)
+        worker.start()
+        with no_grad():
+            entered.set()
+            assert done.wait(timeout=10)
+        worker.join(timeout=10)
+        assert not worker.is_alive() and seen == [True]
 
 
 class TestLossGradients:

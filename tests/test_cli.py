@@ -411,6 +411,18 @@ class TestRejectedBeforeOutput:
         assert "Traceback" not in proc.stderr and error in proc.stderr
         assert not (tmp_path / "model").exists()
 
+    def test_train_checks_its_inputs_before_augmenting(self, tmp_path, cohort_dir, monkeypatch):
+        def no_augmentation(*args, **kwargs):
+            raise AssertionError("augmented a cohort that cannot train")
+
+        monkeypatch.setattr("scharm.augment.augment_cohort", no_augmentation)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"n_nodes": 5}))
+        assert run(["train", "--manifest", str(cohort_dir / "manifest.json"), "--arch", "fae",
+                    "--config", str(cfg), "--augment", "200", "--epochs", "1",
+                    "--out-dir", str(tmp_path / "model")]) == 1
+        assert not (tmp_path / "model").exists()
+
     @pytest.mark.parametrize("value", [2.5, True, "2"])
     @pytest.mark.parametrize("where", ["subject", "manifest-sites", "sites-file"])
     def test_a_site_index_that_is_not_an_integer(self, tmp_path, cohort_dir, where, value):
@@ -554,6 +566,26 @@ class TestRejectedBeforeOutput:
                     "--target-manifest", str(cohort_dir / "manifest.json"),
                     "--out", str(tmp_path / "report.csv")]) == 1
         assert not (tmp_path / "report.csv").exists()
+
+
+def test_harmonize_reads_only_the_source_site(tmp_path, cohort_dir):
+    # a damaged matrix at a site harmonize does not read fails the stages that read it
+    manifest = cohort_dir / "manifest.json"
+    model = tmp_path / "lr.csv"
+    assert run(["fit-lr", "--manifest", str(manifest), "--out", str(model)]) == 0
+    harmonize = ["harmonize", "--manifest", str(manifest), "--method", "lr", "--model", str(model),
+                 "--target-site", "3", "--out-dir"]
+    assert run(harmonize + [str(tmp_path / "clean")]) == 0
+    damaged = next(e for e in json.loads(manifest.read_text())["subjects"] if e["site_index"] == 3)
+    (cohort_dir / damaged["matrix_path"]).write_text("1,2,x\n")
+    assert run(harmonize + [str(tmp_path / "h")]) == 0
+    for path in (tmp_path / "clean").rglob("*"):
+        if path.is_file():
+            assert path.read_bytes() == (tmp_path / "h" / path.relative_to(tmp_path / "clean")).read_bytes()
+    assert run(["fit-lr", "--manifest", str(manifest), "--out", str(tmp_path / "lr2.csv")]) == 1
+    assert run(["evaluate", "--pred-manifest", str(tmp_path / "h" / "manifest.json"),
+                "--target-manifest", str(manifest), "--out", str(tmp_path / "report.csv")]) == 1
+    assert not (tmp_path / "lr2.csv").exists() and not (tmp_path / "report.csv").exists()
 
 
 def test_cli_import_loads_no_scipy():
@@ -704,6 +736,30 @@ def test_metrics_calls_local_efficiency_once_per_record(tmp_path, cohort_dir, mo
     assert calls == [r.matrix for r in manifest.subjects]
 
 
+def _assert_exits_cleanly(argv, out: Path) -> None:
+    """The stage exits 0, 1 or 2 without raising, and a failed stage leaves no output."""
+    try:
+        code = run(argv)
+        assert code in (0, 1, 2)
+        assert code == 0 or not out.exists()
+    finally:
+        if out.is_dir():
+            shutil.rmtree(out)
+        elif out.exists():
+            out.unlink()
+
+
+def _reading_stages(manifest: Path, work: Path, out: str) -> dict[str, list[str]]:
+    """The stages that read every (harmonize: the source site's) matrix of `manifest`."""
+    return {
+        "harmonize": ["harmonize", "--manifest", str(manifest), "--method", "lr",
+                      "--model", str(work / "lr.csv"), "--target-site", "3", "--out-dir", out],
+        "fit-lr": ["fit-lr", "--manifest", str(manifest), "--out", out],
+        "evaluate": ["evaluate", "--pred-manifest", str(manifest),
+                     "--target-manifest", str(work / "cohort" / "manifest.json"), "--out", out],
+    }
+
+
 _REPLACEMENTS = [None, "x", [], {}, -1, 0, 2.5]
 
 
@@ -749,13 +805,8 @@ def json_inputs(tmp_path_factory):
                         generate + ["--sites-file", str(work / "sites.json"),
                                     "--effect-file", str(work / "mutated_effect.json")])
     mutated_manifest = work / "cohort" / "mutated.json"  # next to the matrices it points at
-    for stage, argv in {
-        "harmonize": ["harmonize", "--method", "lr", "--model", str(work / "lr.csv"),
-                      "--target-site", "3", "--out-dir", out, "--manifest"],
-        "fit-lr": ["fit-lr", "--out", out, "--manifest"],
-        "evaluate": ["evaluate", "--target-manifest", str(manifest), "--out", out, "--pred-manifest"],
-    }.items():
-        inputs[f"manifest-{stage}"] = (mutated_manifest, manifest, argv + [str(mutated_manifest)])
+    for stage, argv in _reading_stages(mutated_manifest, work, out).items():
+        inputs[f"manifest-{stage}"] = (mutated_manifest, manifest, argv)
     return work, inputs
 
 
@@ -782,13 +833,60 @@ def test_every_json_input_mutation_exits_cleanly(json_inputs, name, data):
         else:
             parent[where[-1]] = replacement
     mutated.write_text(json.dumps(doc))
+    _assert_exits_cleanly(argv, work / "out")
+
+
+@pytest.fixture(scope="module")
+def damaged_inputs(json_inputs):
+    """{input name: (damaged copy, original, argv writing to work/out)} for a matrix
+    CSV (read through a manifest that names the copy for a site-0 record), each
+    model.bin and the LR model CSV."""
+    work, _ = json_inputs
+    out = str(work / "out")
+    payload = json.loads((work / "cohort" / "manifest.json").read_text())
+    entry = next(e for e in payload["subjects"] if e["site_index"] == 0)  # harmonize's source site
+    matrix = work / "cohort" / entry["matrix_path"]
+    entry["matrix_path"] = "matrices/damaged.csv"
+    manifest = work / "cohort" / "damaged.json"
+    manifest.write_text(json.dumps(payload))
+    inputs = {f"matrix-{stage}": (work / "cohort" / "matrices" / "damaged.csv", matrix, argv)
+              for stage, argv in _reading_stages(manifest, work, out).items()}
+    for arch in ("fae", "gae"):
+        model = work / f"damaged_{arch}" / "model.bin"
+        model.parent.mkdir()
+        shutil.copy(work / arch / "model.bin.json", f"{model}.json")
+        inputs[f"model-{arch}"] = (model, work / arch / "model.bin",
+                                   ["harmonize", "--manifest", str(work / "cohort" / "manifest.json"),
+                                    "--method", arch, "--model", str(model), "--target-site", "3",
+                                    "--out-dir", out])
+    inputs["lr-model"] = (work / "damaged_lr.csv", work / "lr.csv",
+                          ["harmonize", "--manifest", str(work / "cohort" / "manifest.json"),
+                           "--method", "lr", "--model", str(work / "damaged_lr.csv"),
+                           "--target-site", "3", "--out-dir", out])
+    return work, inputs
+
+
+@pytest.mark.parametrize("name", ["matrix-harmonize", "matrix-fit-lr", "matrix-evaluate",
+                                  "model-fae", "model-gae", "lr-model"])
+@settings(max_examples=30, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_every_truncated_file_exits_cleanly(damaged_inputs, name, data):
+    work, inputs = damaged_inputs
+    damaged, original, argv = inputs[name]
+    body = original.read_bytes()
+    damaged.write_bytes(body[:data.draw(st.integers(0, len(body)), label="offset")])
+    _assert_exits_cleanly(argv, work / "out")
+
+
+@pytest.mark.parametrize("stage", ["harmonize", "fit-lr", "evaluate"])
+@pytest.mark.parametrize("matrix_path", ["matrices", "matrices/missing.csv"])
+def test_a_matrix_path_that_names_no_file_exits_cleanly(json_inputs, stage, matrix_path):
+    work, _ = json_inputs
+    payload = json.loads((work / "cohort" / "manifest.json").read_text())
+    next(e for e in payload["subjects"] if e["site_index"] == 0)["matrix_path"] = matrix_path
+    manifest = work / "cohort" / "misnamed.json"
+    manifest.write_text(json.dumps(payload))
     out = work / "out"
-    try:
-        code = run(argv)
-        assert code in (0, 1, 2)
-        assert code == 0 or not out.exists()
-    finally:
-        if out.is_dir():
-            shutil.rmtree(out)
-        elif out.exists():
-            out.unlink()
+    assert run(_reading_stages(manifest, work, str(out))[stage]) == 2
+    assert not out.exists()

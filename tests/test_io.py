@@ -177,6 +177,22 @@ class TestCohortRoundTrip:
         assert not (tmp_path / "cohort").exists()
 
 
+    def test_site_filter_reads_only_that_sites_files(self, tmp_path):
+        manifest, _ = default_cohort(seed=1)
+        manifest.subjects = manifest.subjects[: 3 * 4]
+        path = sio.save_cohort(manifest, tmp_path / "cohort")
+        for entry in json.loads(path.read_text())["subjects"]:
+            if entry["site_index"] != 2:
+                (path.parent / entry["matrix_path"]).unlink()
+        loaded = sio.load_cohort(path, site_index=2)
+        expected = manifest.records(site_index=2)
+        assert loaded.sites == manifest.sites
+        assert [r.subject_id for r in loaded.subjects] == [r.subject_id for r in expected]
+        for a, b in zip(loaded.subjects, expected):
+            assert a.matrix == b.matrix and a.latent_truth == b.latent_truth
+        with pytest.raises(IoError):
+            sio.load_cohort(path)
+
     @staticmethod
     def _edited(tmp_path, edit) -> Path:
         manifest, _ = default_cohort(seed=1)
