@@ -113,10 +113,10 @@ class SiteDescriptor:
     site_index: int
 
     def __post_init__(self):
-        if self.b_value <= 0:
-            raise ValidationError(f"b_value must be positive, got {self.b_value}")
-        if self.resolution <= 0:
-            raise ValidationError(f"resolution must be positive, got {self.resolution}")
+        if not 0 < self.b_value < np.inf:
+            raise ValidationError(f"b_value must be finite and positive, got {self.b_value}")
+        if not 0 < self.resolution < np.inf:
+            raise ValidationError(f"resolution must be finite and positive, got {self.resolution}")
         if self.site_index < 0:
             raise ValidationError(f"site_index must be >= 0, got {self.site_index}")
 

@@ -10,7 +10,9 @@ conditioned on the fused representation.
 Training, inference and embedding export run on one BLAS thread
 (`blas.one_thread`): matrix-product bytes depend on the thread count, and one
 seed must give one model on any host. Inference and embedding export record
-no autodiff graph (`autodiff.no_grad`).
+no autodiff graph (`autodiff.no_grad`), and that alone puts the FAE's hidden
+BatchNorm layers on their running statistics: a forward pass outside
+`no_grad` is a training pass, which moves them.
 """
 
 from __future__ import annotations
@@ -243,39 +245,38 @@ class HarmonizerModel(Module):
 
     # -- forward passes ---------------------------------------------------------
 
-    def encode_batch(self, inputs: np.ndarray, training: bool = False) -> Tensor:
+    def encode_batch(self, inputs: np.ndarray) -> Tensor:
         """Embedding of prepared inputs: (B, K) for FAE, (B, N, K) for GAE."""
         if self.config.kind == "fae":
-            return self.embed_norm(self.encoder(Tensor(inputs), training=training), training=training)
+            return self.embed_norm(self.encoder(Tensor(inputs)))
         h = Tensor(np.broadcast_to(np.eye(self.config.n_nodes), inputs.shape).copy())
         for conv in self.enc_convs:
-            h = conv(h, Tensor(inputs), training=training)
+            h = conv(h, Tensor(inputs))
         return h
 
-    def classify_logits(self, f_e: Tensor, lam: float = 0.0, training: bool = False) -> Tensor:
+    def classify_logits(self, f_e: Tensor, lam: float = 0.0) -> Tensor:
         rev = grad_reversal(f_e, lam)
         if self.config.kind == "gae":
             pooled = self.pool_norm(concat([rev.mean(axis=1), rev.max(axis=1)], axis=1))
         else:
             pooled = rev
-        return self.classifier(pooled, training=training)
+        return self.classifier(pooled)
 
-    def decode_batch(self, f_e: Tensor, codes: np.ndarray, inputs: np.ndarray,
-                     training: bool = False) -> Tensor:
+    def decode_batch(self, f_e: Tensor, codes: np.ndarray, inputs: np.ndarray) -> Tensor:
         """Raw (pre-rounding) reconstruction from one-hot site `codes` and prepared
         inputs: (B, D) for FAE, (B, N, N) for GAE."""
-        f_m = self.mapper(Tensor(codes), training=training)
+        f_m = self.mapper(Tensor(codes))
         if self.config.kind == "fae":
             fused = concat([f_e, f_m], axis=1)
-            return self.decoder(fused, training=training)
-        h = self.dec_dense(f_e, training=training)
-        h = self.conditioners[0](h, f_m, training=training).relu()
+            return self.decoder(fused)
+        h = self.dec_dense(f_e)
+        h = self.conditioners[0](h, f_m).relu()
         lap_t = Tensor(inputs)
-        h = self.dec_convs[0](h, lap_t, training=training)
-        h = self.conditioners[1](h, f_m, training=training).relu()
-        h = self.dec_convs[1](h, lap_t, training=training)
-        h = self.conditioners[2](h, f_m, training=training).relu()
-        z = self.head(h, training=training)  # (B, N, N)
+        h = self.dec_convs[0](h, lap_t)
+        h = self.conditioners[1](h, f_m).relu()
+        h = self.dec_convs[1](h, lap_t)
+        h = self.conditioners[2](h, f_m).relu()
+        z = self.head(h)  # (B, N, N)
         sym = (z + z.transpose(0, 2, 1)) * 0.5
         mask = 1.0 - np.eye(self.config.n_nodes)
         return sym * Tensor(mask[None, :, :])
@@ -356,6 +357,8 @@ class TrainingConfig:
     def __post_init__(self):
         if self.epochs < 1:
             raise ValidationError(f"epochs must be >= 1, got {self.epochs}")
+        if self.batch_size < 1:
+            raise ValidationError(f"batch_size must be >= 1, got {self.batch_size}")
 
 
 def _validation_scores(harmonized: list[ConnectivityMatrix],
@@ -425,9 +428,9 @@ def train(model: HarmonizerModel, cohort: CohortManifest,
         for b_start in range(0, n, hyper.batch_size):
             batch = order[b_start : b_start + hyper.batch_size]
             inputs, targets = model.prepare([matrices[i] for i in batch])
-            f_e = model.encode_batch(inputs, training=True)
-            logits = model.classify_logits(f_e, lam=lam, training=True)
-            recon = model.decode_batch(f_e, codes[batch], inputs, training=True)
+            f_e = model.encode_batch(inputs)
+            logits = model.classify_logits(f_e, lam=lam)
+            recon = model.decode_batch(f_e, codes[batch], inputs)
             l_mae = weighted_mae_loss(recon, targets, cfg.edge_loss_weight)
             l_ce = softmax_cross_entropy(logits, codes[batch])
             total = l_mae + l_ce
@@ -436,6 +439,8 @@ def train(model: HarmonizerModel, cohort: CohortManifest,
                 l_bce = sigmoid_bce(recon, (targets > 0).astype(np.float64))
                 total = total + l_bce
                 l_bce_val = l_bce.data
+            if not total.requires_grad:
+                raise ValidationError("train records no graph under no_grad(): nothing would be learned")
             if not np.isfinite(total.data):
                 raise NonFiniteLoss(epoch, b_start // hyper.batch_size)
             zero_grads(opt_encdec.params)

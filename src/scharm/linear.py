@@ -105,8 +105,11 @@ def model_to_csv(model: LinearEdgeModel) -> str:
 
 def model_from_csv(text: str, n_nodes: int) -> LinearEdgeModel:
     """Parse model_to_csv output: the header, then one row of six finite numbers
-    for each edge index 0..D-1, in any order; blank lines are ignored. Anything
-    else is ParseError, so a damaged file never loads as a model with a zero edge."""
+    for each edge index 0..D-1, in any order; blank lines are ignored, and the
+    text ends in a newline. Anything else is ParseError, so a damaged or
+    truncated file never loads as a model with a zero or cut edge."""
+    if not text.endswith("\n"):
+        raise ParseError("LR model: no final newline, the file is truncated")
     lines = [line for line in text.splitlines() if line.strip()]
     if not lines or lines[0].strip() != _HEADER:
         raise ParseError(f"LR model: expected the header {_HEADER!r}")

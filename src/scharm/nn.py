@@ -1,4 +1,8 @@
-"""Layers built on the autodiff engine: dense, normalization, ChebConv, AdaIN."""
+"""Layers built on the autodiff engine: dense, normalization, ChebConv, AdaIN.
+
+No layer takes a mode argument: a forward pass that records a graph is a
+training pass, one under `autodiff.no_grad()` is inference.
+"""
 
 from __future__ import annotations
 
@@ -54,9 +58,9 @@ class _Layer(Module):
         self.norm = None if norm == "none" else {"batch": BatchNorm, "layer": LayerNorm}[norm](features)
         self.act = act
 
-    def _tail(self, out: Tensor, training: bool) -> Tensor:
+    def _tail(self, out: Tensor) -> Tensor:
         if self.norm is not None:
-            out = self.norm(out, training=training)
+            out = self.norm(out)
         if self.act == "relu":
             out = out.relu()
         return out
@@ -70,14 +74,16 @@ class Dense(_Layer):
         self.b = Tensor(np.zeros(out_features), requires_grad=True)
         self._init_tail(out_features, norm, act, norms=("batch", "layer"))
 
-    def __call__(self, x: Tensor, training: bool = True) -> Tensor:
+    def __call__(self, x: Tensor) -> Tensor:
         if x.data.shape[-1] != self.w.data.shape[0]:
             raise DimensionMismatch(f"input width {x.data.shape[-1]} != {self.w.data.shape[0]}")
-        return self._tail(x @ self.w + self.b, training)
+        return self._tail(x @ self.w + self.b)
 
 
 class BatchNorm(Module):
-    """Per-feature batch normalization with running statistics for inference."""
+    """Per-feature batch normalization. An input that requires a gradient (a
+    training pass) is normalized with its batch statistics, which move the
+    running statistics; any other input (under `no_grad()`) with the running ones."""
 
     def __init__(self, features: int, eps: float = 1e-5, momentum: float = 0.1):
         self.gamma = Tensor(np.ones(features), requires_grad=True)
@@ -87,9 +93,9 @@ class BatchNorm(Module):
         self.eps = eps
         self.momentum = momentum
 
-    def __call__(self, x: Tensor, training: bool = True) -> Tensor:
+    def __call__(self, x: Tensor) -> Tensor:
         axes = tuple(range(x.data.ndim - 1))
-        if training:
+        if x.requires_grad:
             mu = x.mean(axis=axes, keepdims=True)
             centered = x - mu
             var = (centered * centered).mean(axis=axes, keepdims=True)
@@ -109,7 +115,7 @@ class LayerNorm(Module):
         self.beta = Tensor(np.zeros(features), requires_grad=True)
         self.eps = eps
 
-    def __call__(self, x: Tensor, training: bool = True) -> Tensor:
+    def __call__(self, x: Tensor) -> Tensor:
         mu = x.mean(axis=-1, keepdims=True)
         centered = x - mu
         var = (centered * centered).mean(axis=-1, keepdims=True)
@@ -126,7 +132,7 @@ class UnitNorm(Module):
     def __init__(self, eps: float = 1e-8):
         self.eps = eps
 
-    def __call__(self, x: Tensor, training: bool = True) -> Tensor:
+    def __call__(self, x: Tensor) -> Tensor:
         sq = (x * x).mean(axis=-1, keepdims=True)
         return x * (sq + self.eps).pow(-0.5)
 
@@ -143,8 +149,8 @@ class ChebConv(_Layer):
         self.b = Tensor(np.zeros(out_features), requires_grad=True)
         self._init_tail(out_features, norm, act, norms=("layer",))
 
-    def __call__(self, x: Tensor, l_rescaled, training: bool = True) -> Tensor:
-        return self._tail(chebconv(x, l_rescaled, self.theta, validate_spectrum=False) + self.b, training)
+    def __call__(self, x: Tensor, l_rescaled) -> Tensor:
+        return self._tail(chebconv(x, l_rescaled, self.theta, validate_spectrum=False) + self.b)
 
 
 class MLP(Module):
@@ -159,9 +165,9 @@ class MLP(Module):
                       act="none" if last else "relu")
             )
 
-    def __call__(self, x: Tensor, training: bool = True) -> Tensor:
+    def __call__(self, x: Tensor) -> Tensor:
         for layer in self.layers:
-            x = layer(x, training=training)
+            x = layer(x)
         return x
 
 
@@ -179,7 +185,7 @@ class AdaInConditioner(Module):
         self.scale_net.b.data[:] = 1.0
         self.shift_net.w.data[:] = 0.0
 
-    def __call__(self, f_e: Tensor, f_m: Tensor, training: bool = True) -> Tensor:
-        scale = self.scale_net(f_m, training=training)
-        shift = self.shift_net(f_m, training=training)
+    def __call__(self, f_e: Tensor, f_m: Tensor) -> Tensor:
+        scale = self.scale_net(f_m)
+        shift = self.shift_net(f_m)
         return adain(f_e, scale, shift)

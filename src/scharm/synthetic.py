@@ -46,8 +46,10 @@ class SyntheticSiteEffect:
         b3 = np.asarray(self.beta3, dtype=np.float64)
         if not (b1.shape == b2.shape == b3.shape) or b1.ndim != 1:
             raise ValidationError("beta arrays must be 1-D and share a length")
-        if self.noise_sigma < 0:
-            raise ValidationError("noise_sigma must be >= 0")
+        if not 0 <= self.noise_sigma < np.inf:
+            raise ValidationError(f"noise_sigma must be finite and >= 0, got {self.noise_sigma}")
+        if not all(np.isfinite(b).all() for b in (b1, b2, b3)):
+            raise ValidationError("beta arrays must be finite")
         for name, arr in (("beta1", b1), ("beta2", b2), ("beta3", b3)):
             object.__setattr__(self, name, arr)
 

@@ -539,6 +539,40 @@ class TestRejectedBeforeOutput:
         assert _generate(tmp_path, 16, tmp_path / "cohort", sites) == 1
         assert not (tmp_path / "cohort").exists()
 
+    @pytest.mark.parametrize("field, value", [("b_value", "NaN"), ("resolution", "Infinity"),
+                                              ("noise_sigma", "NaN"), ("noise_sigma", "Infinity"),
+                                              ("beta1_const", "NaN")])
+    def test_generate_with_a_non_finite_site_or_effect(self, tmp_path, field, value):
+        # json writes and reads NaN and Infinity; a NaN b-value ended in an SVD
+        # LinAlgError traceback, a NaN noise_sigma exited 0 with the noiseless cohort
+        effect = {"beta1_const": 2.0, "beta2_const": 0.002, "noise_sigma": 1.0}
+        sites = [{"site_index": s.site_index, "b_value": s.b_value, "resolution": s.resolution}
+                 for s in table1_sites()]
+        target = effect if field in effect else sites[0]
+        target[field] = float(value)
+        (tmp_path / "sites.json").write_text(json.dumps(sites))
+        (tmp_path / "effect.json").write_text(json.dumps(effect))
+        assert run(["generate", "--nodes", "10", "--subjects", "16",
+                    "--sites-file", str(tmp_path / "sites.json"),
+                    "--effect-file", str(tmp_path / "effect.json"), "--out-dir", str(tmp_path / "out")]) == 1
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("stage", ["fit-lr", "evaluate", "train"])
+    def test_a_manifest_site_with_a_non_finite_resolution(self, tmp_path, cohort_dir, stage):
+        # fit-lr ended in an SVD LinAlgError traceback; evaluate and train exited 0
+        # after ranking site quality with a NaN
+        payload = json.loads((cohort_dir / "manifest.json").read_text())
+        payload["sites"][0]["resolution"] = float("nan")
+        bad = str(cohort_dir / "bad.json")  # next to the matrices it points at
+        (cohort_dir / "bad.json").write_text(json.dumps(payload))
+        out = str(tmp_path / "out")
+        argv = {"fit-lr": ["fit-lr", "--manifest", bad, "--out", out],
+                "evaluate": ["evaluate", "--pred-manifest", bad, "--target-manifest", bad, "--out", out],
+                "train": ["train", "--manifest", bad, "--arch", "fae", "--config",
+                          str(_tiny_fae_config(tmp_path)), "--epochs", "1", "--out-dir", out]}[stage]
+        assert run(argv) == 1
+        assert not (tmp_path / "out").exists()
+
     def test_train_on_mixed_node_counts(self, tmp_path, cohort_dir):
         _shrink_first_matrix(cohort_dir)
         assert run(["train", "--manifest", str(cohort_dir / "manifest.json"), "--arch", "fae",
@@ -760,7 +794,7 @@ def _reading_stages(manifest: Path, work: Path, out: str) -> dict[str, list[str]
     }
 
 
-_REPLACEMENTS = [None, "x", [], {}, -1, 0, 2.5]
+_REPLACEMENTS = [None, "x", [], {}, -1, 0, 2.5, float("nan"), float("inf"), float("-inf")]
 
 
 def _json_paths(doc, prefix=()):

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from scharm import ConnectivityMatrix, deep, split_cohort
+from scharm.autodiff import no_grad
 from scharm.core import CohortManifest, SiteDescriptor, SubjectRecord, table1_sites
 from scharm.deep import (
     ArchitectureConfig,
@@ -154,9 +155,10 @@ class TestModelPlumbing:
         for cond in model.conditioners:
             cond.shift_net.w.data += perturb.standard_normal(cond.shift_net.w.data.shape)
         inputs, _ = model.prepare([random_connectome(rng, N)])
-        f_e = model.encode_batch(inputs)
-        raw0 = model.decode_batch(f_e, model.site_codes([0]), inputs).data
-        raw3 = model.decode_batch(f_e, model.site_codes([3]), inputs).data
+        with no_grad():  # inference: a training pass would batch-normalize one sample to beta
+            f_e = model.encode_batch(inputs)
+            raw0 = model.decode_batch(f_e, model.site_codes([0]), inputs).data
+            raw3 = model.decode_batch(f_e, model.site_codes([3]), inputs).data
         assert not np.allclose(raw0, raw3)
 
     def test_save_load_bit_exact(self, kind, rng, tmp_path):
@@ -271,6 +273,20 @@ def test_gae_inference_holds_one_batch_of_activations():
     assert peak < 20e6
 
 
+def test_fae_inference_leaves_every_state_byte_and_a_training_pass_moves_the_running_statistics():
+    cohort = _small_cohort(n_subjects=3)
+    model = HarmonizerModel(_tiny_config("fae"), seed=0)
+    before = model.snapshot()
+    model.harmonize_many([r.matrix for r in cohort.subjects], SITES[3])
+    export_embeddings(model, cohort)
+    assert all(arr.tobytes() == before[name].tobytes() for name, arr in model.state_arrays().items())
+    # a forward pass outside no_grad() is a training pass
+    inputs, _ = model.prepare([r.matrix for r in cohort.subjects])
+    model.decode_batch(model.encode_batch(inputs), model.site_codes([3] * len(inputs)), inputs)
+    moved = {name for name, arr in model.state_arrays().items() if arr.tobytes() != before[name].tobytes()}
+    assert moved == set(model.named_buffers()) and len(moved) == 4
+
+
 class TestGaeShapes:
     def test_embedding_is_per_node(self, rng):
         model = HarmonizerModel(_tiny_config("gae"), seed=2)
@@ -356,6 +372,21 @@ class TestTraining:
         model = HarmonizerModel(_tiny_config("fae"), seed=0)
         with pytest.raises(ValidationError):
             train(model, cohort, TrainingConfig(epochs=1, batch_size=512))
+
+    @pytest.mark.parametrize("batch_size", [0, -1])
+    def test_batch_size_below_one_rejected(self, batch_size):
+        # -1 ran no batch and recorded losses of 0.0; 0 raised a bare ValueError from range()
+        with pytest.raises(ValidationError, match="batch_size"):
+            TrainingConfig(batch_size=batch_size)
+
+    def test_train_under_no_grad_is_refused(self):
+        # it ran every epoch and returned, no parameter changed
+        cohort = _small_cohort(n_subjects=4)
+        model = HarmonizerModel(_tiny_config("fae"), seed=0)
+        before = model.snapshot()
+        with no_grad(), pytest.raises(ValidationError, match="no_grad"):
+            train(model, cohort, TrainingConfig(epochs=2, batch_size=8))
+        assert all(arr.tobytes() == before[name].tobytes() for name, arr in model.state_arrays().items())
 
     @pytest.mark.parametrize("epochs", [0, -3])
     def test_epochs_validated(self, epochs):

@@ -257,7 +257,16 @@ def test_model_csv_rows_in_any_order_and_blank_lines():
     lines = _csv_lines()
     text = "\n".join([lines[0], ""] + lines[:0:-1]) + "\n"
     assert np.array_equal(model_from_csv(text, 4).coefficients,
-                          model_from_csv("\n".join(lines), 4).coefficients)
+                          model_from_csv("\n".join(lines) + "\n", 4).coefficients)
+
+
+def test_every_cut_of_a_model_csv_fails_to_load():
+    # a cut inside the last residual_variance left six finite fields and loaded
+    text = model_to_csv(LinearEdgeModel(np.full((6, 4), 0.125), np.full(6, 24.006410256410252)))
+    model_from_csv(text, 4)
+    for end in range(len(text)):
+        with pytest.raises(ParseError):
+            model_from_csv(text[:end], 4)
 
 
 def test_non_finite_coefficients_are_validation_error():
