@@ -104,10 +104,13 @@ class TestModelPlumbing:
     def test_encode_deterministic(self, kind, rng):
         model = HarmonizerModel(_tiny_config(kind), seed=3)
         inputs, _ = model.prepare([random_connectome(rng, N)])
-        assert np.array_equal(model.encode_batch(inputs).data[0], model.encode_batch(inputs).data[0])
-        # same seed, fresh model: identical initialization
         again = HarmonizerModel(_tiny_config(kind), seed=3)
-        assert np.array_equal(again.encode_batch(inputs).data[0], model.encode_batch(inputs).data[0])
+        with no_grad():  # inference: a training pass would batch-normalize one FAE sample to beta
+            first = model.encode_batch(inputs).data[0]
+            assert np.any(first != 0.0)
+            assert np.array_equal(first, model.encode_batch(inputs).data[0])
+            # same seed, fresh model: identical initialization
+            assert np.array_equal(again.encode_batch(inputs).data[0], first)
 
     def test_prepared_batch_is_the_stack_of_its_records(self, kind, rng):
         # so preparing batch by batch gives the bytes of slicing one whole-split array
@@ -373,12 +376,6 @@ class TestTraining:
         with pytest.raises(ValidationError):
             train(model, cohort, TrainingConfig(epochs=1, batch_size=512))
 
-    @pytest.mark.parametrize("batch_size", [0, -1])
-    def test_batch_size_below_one_rejected(self, batch_size):
-        # -1 ran no batch and recorded losses of 0.0; 0 raised a bare ValueError from range()
-        with pytest.raises(ValidationError, match="batch_size"):
-            TrainingConfig(batch_size=batch_size)
-
     def test_train_under_no_grad_is_refused(self):
         # it ran every epoch and returned, no parameter changed
         cohort = _small_cohort(n_subjects=4)
@@ -388,10 +385,14 @@ class TestTraining:
             train(model, cohort, TrainingConfig(epochs=2, batch_size=8))
         assert all(arr.tobytes() == before[name].tobytes() for name, arr in model.state_arrays().items())
 
-    @pytest.mark.parametrize("epochs", [0, -3])
-    def test_epochs_validated(self, epochs):
-        with pytest.raises(ValidationError):
-            TrainingConfig(epochs=epochs)
+    # batch_size -1 ran no batch and recorded losses of 0.0; 0 raised a bare ValueError from range()
+    @pytest.mark.parametrize("field, value", [
+        pytest.param("epochs", 0, id="0"), pytest.param("epochs", -3, id="-3"),
+        pytest.param("batch_size", 0, id="batch_size=0"), pytest.param("batch_size", -1, id="batch_size=-1"),
+    ])
+    def test_epochs_validated(self, field, value):
+        with pytest.raises(ValidationError, match=field):
+            TrainingConfig(**{field: value})
 
     def test_training_site_outside_the_model(self):
         cohort = _small_cohort(n_subjects=4)
