@@ -116,10 +116,6 @@ def _cmd_generate(args) -> int:
     if not test_ids:
         # checked before anything is written: the retest cohort redraws the test split
         raise ValidationError(f"{args.subjects} subjects leave the 10% test split empty")
-    out_dir = Path(args.out_dir)
-    path = sio.save_cohort(manifest, out_dir)
-    log.info("event=generated subjects=%d sites=%d manifest=%s", args.subjects, len(sites), path)
-
     # independent noise redraw at the highest-quality site: synthetic retest
     high = highest_quality_site(sites)
     retest_records = redraw_retest(manifest, effect, high, test_ids, seed=args.seed + 1)
@@ -127,9 +123,13 @@ def _cmd_generate(args) -> int:
         subjects=retest_records, sites=sites,
         split_labels={sid: "retest" for sid in test_ids}, seed=args.seed + 1,
     )
-    retest_dir = out_dir / "retest"
-    rpath = sio.save_cohort(retest, retest_dir)
-    log.info("event=retest-generated subjects=%d manifest=%s", len(test_ids), rpath)
+    with sio.staged(args.out_dir, directory=True) as (out_dir,):
+        sio.save_cohort(manifest, out_dir)
+        sio.save_cohort(retest, out_dir / "retest")
+    log.info("event=generated subjects=%d sites=%d manifest=%s",
+             args.subjects, len(sites), Path(args.out_dir, "manifest.json"))
+    log.info("event=retest-generated subjects=%d manifest=%s",
+             len(test_ids), Path(args.out_dir, "retest", "manifest.json"))
     return 0
 
 
@@ -139,14 +139,16 @@ def _cmd_augment(args) -> int:
                                site_index=args.site)
     originals = [r.matrix for r in records]
     augmented = aug.augment_site(originals, args.count, args.seed)
-    out_dir = sio.make_dir(args.out_dir)
-    for i, m in enumerate(augmented):
-        sio.save_matrix(m, out_dir / f"aug{i:05d}.csv")
-    log.info("event=augmented site=%d count=%d out=%s", args.site, args.count, out_dir)
+    with sio.staged(args.out_dir, directory=True) as (out_dir,):
+        sio.make_dir(out_dir)
+        for i, m in enumerate(augmented):
+            sio.save_matrix(m, out_dir / f"aug{i:05d}.csv")
+        if args.report:
+            report = aug.augmentation_report(originals, augmented)
+            sio.write_text(out_dir / "report.csv", aug.report_to_csv(report))
+    log.info("event=augmented site=%d count=%d out=%s", args.site, args.count, args.out_dir)
     if args.report:
-        report = aug.augmentation_report(originals, augmented)
-        sio.write_text(out_dir / "report.csv", aug.report_to_csv(report))
-        log.info("event=augmentation-report out=%s", out_dir / "report.csv")
+        log.info("event=augmentation-report out=%s", Path(args.out_dir, "report.csv"))
     return 0
 
 
@@ -158,7 +160,8 @@ def _cmd_metrics(args) -> int:
         for i, row in enumerate(zip(*columns)):
             values = ",".join(f"{v:.10g}" for v in row)
             lines.append(f"{rec.subject_id},{rec.site.site_index},{i},{values}")
-    sio.write_text(args.out, "\n".join(lines) + "\n")
+    with sio.staged(args.out) as (out,):
+        sio.write_text(out, "\n".join(lines) + "\n")
     log.info("event=metrics records=%d out=%s", len(manifest.subjects), args.out)
     return 0
 
@@ -167,7 +170,8 @@ def _cmd_fit_lr(args) -> int:
     manifest = sio.load_cohort(args.manifest)
     records = manifest.records(split="train" if manifest.split_labels else None)
     model = linear.fit_lr([r.matrix for r in records], [r.site for r in records])
-    sio.write_text(args.out, linear.model_to_csv(model))
+    with sio.staged(args.out) as (out,):
+        sio.write_text(out, linear.model_to_csv(model))
     log.info("event=fit-lr edges=%d out=%s", model.d, args.out)
     return 0
 
@@ -190,12 +194,11 @@ def _cmd_train(args) -> int:
         manifest = aug.augment_cohort(manifest, args.augment, seed=args.seed)
         log.info("event=augmented-train per_site=%d total=%d",
                  args.augment, len(manifest.records(split="train")))
-    training_inputs(model, manifest, hyper)  # and the batch size, before --out-dir exists
-    out_dir = sio.make_dir(args.out_dir)  # before training, so a bad --out-dir costs no run
-    model, history = train(model, manifest, hyper)
-    model.save(out_dir / "model.bin", history=history)
-    log.info("event=trained arch=%s epochs=%d final_loss=%.6g out=%s",
-             args.arch, args.epochs, history.records[-1].total_loss, out_dir / "model.bin")
+    with sio.staged(args.out_dir, directory=True) as (out_dir,):  # a bad --out-dir costs no run
+        model, history = train(model, manifest, hyper)
+        model.save(sio.make_dir(out_dir) / "model.bin", history=history)
+    log.info("event=trained arch=%s epochs=%d final_loss=%.6g out=%s", args.arch, args.epochs,
+             history.records[-1].total_loss, Path(args.out_dir, "model.bin"))
     return 0
 
 
@@ -227,9 +230,10 @@ def _cmd_harmonize(args) -> int:
                       for r in records if r.subject_id in manifest.split_labels},
         seed=manifest.seed,
     )
-    path = sio.save_cohort(out, args.out_dir)
-    log.info("event=harmonized method=%s source=%d target=%d records=%d manifest=%s",
-             args.method, source_idx, args.target_site, len(out_records), path)
+    with sio.staged(args.out_dir, directory=True) as (out_dir,):
+        sio.save_cohort(out, out_dir)
+    log.info("event=harmonized method=%s source=%d target=%d records=%d manifest=%s", args.method,
+             source_idx, args.target_site, len(out_records), Path(args.out_dir, "manifest.json"))
     return 0
 
 
@@ -238,18 +242,13 @@ def _cmd_evaluate(args) -> int:
     target = sio.load_cohort(args.target_manifest)
     retest = sio.load_cohort(args.retest_manifest) if args.retest_manifest else None
     reports = ev.evaluate_cohorts(pred, target, retest)
-    # both tables before either file, so a failed second write can undo the first
-    table = ev.report_table_csv(reports)
-    normalized = ev.normalized_report(reports) if args.normalized else None
-    sio.write_text(args.out, table)
+    norm_path = Path(args.out).with_name(Path(args.out).stem + "_normalized.csv")
+    with sio.staged(args.out, norm_path) as (out, norm_out):
+        sio.write_text(out, ev.report_table_csv(reports))
+        if args.normalized:
+            sio.write_text(norm_out, ev.normalized_report(reports))
     log.info("event=evaluated methods=%d out=%s", len(reports), args.out)
-    if normalized is not None:
-        norm_path = Path(args.out).with_name(Path(args.out).stem + "_normalized.csv")
-        try:
-            sio.write_text(norm_path, normalized)
-        except IoError:
-            sio.remove_file(args.out)
-            raise
+    if args.normalized:
         log.info("event=normalized-report out=%s", norm_path)
     return 0
 
@@ -257,7 +256,8 @@ def _cmd_evaluate(args) -> int:
 def _cmd_export_embeddings(args) -> int:
     model, _ = HarmonizerModel.load(args.model)
     manifest = sio.load_cohort(args.manifest)
-    sio.write_text(args.out, export_embeddings(model, manifest))
+    with sio.staged(args.out) as (out,):
+        sio.write_text(out, export_embeddings(model, manifest))
     log.info("event=embeddings records=%d out=%s", len(manifest.subjects), args.out)
     return 0
 

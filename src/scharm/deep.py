@@ -59,7 +59,7 @@ from .errors import (
     ValidationError,
 )
 from .evaluation import fingerprint_accuracy, pairwise_distances
-from .io import json_int, read_json, remove_file, write_text
+from .io import json_int, read_json, staged, write_text
 from .metrics import normalized_laplacian
 from .nn import AdaInConditioner, ChebConv, Dense, MLP, Module, UnitNorm
 
@@ -300,16 +300,15 @@ class HarmonizerModel(Module):
     # -- persistence ----------------------------------------------------------
 
     def save(self, path, history: TrainingHistory | None = None) -> None:
-        """An earlier sidecar goes first, so after a failed write `load` fails too."""
-        remove_file(str(path) + ".json")
-        checkpoint.save_tensors(self.state_arrays(), path)
         sidecar = {
             "config": self.config.to_dict(),
             "seed": self.seed,
             "epoch": self.epoch,
             "history": history.to_dict() if history is not None else None,
         }
-        write_text(str(path) + ".json", json.dumps(sidecar, indent=1))
+        with staged(path, str(path) + ".json") as (tensors_path, sidecar_path):
+            checkpoint.save_tensors(self.state_arrays(), tensors_path)
+            write_text(sidecar_path, json.dumps(sidecar, indent=1))
 
     @classmethod
     def load(cls, path) -> tuple["HarmonizerModel", TrainingHistory | None]:
@@ -355,10 +354,9 @@ class TrainingConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.epochs < 1:
-            raise ValidationError(f"epochs must be >= 1, got {self.epochs}")
-        if self.batch_size < 1:
-            raise ValidationError(f"batch_size must be >= 1, got {self.batch_size}")
+        for name, value in (("epochs", self.epochs), ("batch_size", self.batch_size)):
+            if type(value) is not int or value < 1:  # a bool is not an epoch count
+                raise ValidationError(f"{name} must be an integer >= 1, got {value!r}")
 
 
 def _validation_scores(harmonized: list[ConnectivityMatrix],

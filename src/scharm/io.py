@@ -9,6 +9,9 @@ token. Manifests are JSON indexes pointing at matrix files by relative path.
 from __future__ import annotations
 
 import json
+import os
+import tempfile
+from contextlib import contextmanager
 from pathlib import Path
 from typing import NoReturn
 
@@ -57,14 +60,6 @@ def write_text(path, text: str) -> None:
     write_bytes(path, text.encode())
 
 
-def remove_file(path) -> None:
-    """Delete a file if it exists; IoError if it cannot be deleted."""
-    try:
-        Path(path).unlink(missing_ok=True)
-    except OSError as e:
-        raise IoError(f"cannot remove {path}: {e}") from e
-
-
 def make_dir(path) -> Path:
     """Create a directory and its parents; IoError if it cannot be created."""
     path = Path(path)
@@ -73,6 +68,43 @@ def make_dir(path) -> Path:
     except OSError as e:
         raise IoError(f"cannot create {path}: {e}") from e
     return path
+
+
+@contextmanager
+def staged(*paths, directory: bool = False):
+    """Commit the outputs at `paths` together: all are written and checked before any moves.
+
+    Yields a staging path per destination, in a fresh directory beside the first,
+    for the block to make or leave unmade. Then a file where a directory must go,
+    or the reverse, is IoError before anything moves; each made output moves in
+    with os.replace, into an existing directory file by file. Any error removes the
+    staging. A `directory` output's parents are made; a file in its place fails at once.
+    """
+    paths = [Path(os.path.abspath(p)) for p in paths]
+    if directory:
+        make_dir(paths[0].parent)
+        if paths[0].exists() and not paths[0].is_dir():
+            raise IoError(f"cannot write {paths[0]}: it is not a directory")
+    try:
+        with tempfile.TemporaryDirectory(prefix=f".{paths[0].name}.", dir=paths[0].parent) as tmp:
+            staging = [Path(tmp, p.name) for p in paths]
+            yield staging
+            for move in (False, True):  # every destination is checked before the first moves
+                for src, dst in zip(staging, paths):
+                    if src.exists():
+                        _commit(src, dst, move)
+    except OSError as e:
+        raise IoError(f"cannot write {paths[0]}: {e}") from e
+
+
+def _commit(src: Path, dst: Path, move: bool) -> None:
+    if dst.exists() and src.is_dir() != dst.is_dir():
+        raise IoError(f"cannot write {dst}: it is {'not ' if src.is_dir() else ''}a directory")
+    if dst.is_dir():
+        for child in src.iterdir():
+            _commit(child, dst / child.name, move)
+    elif move:
+        os.replace(src, dst)
 
 
 def save_matrix(m: ConnectivityMatrix, path) -> None:

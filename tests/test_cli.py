@@ -227,14 +227,16 @@ class TestExitCodes:
                     "--method", "lr", "--model", str(model_csv),
                     "--target-site", "42", "--out-dir", str(tmp_path / "h")]) == 1
 
-    def test_train_out_dir_under_a_file_is_2_before_training(self, tmp_path, cohort_dir,
-                                                              monkeypatch):
+    @pytest.mark.parametrize("out_dir", ["under", "at"])
+    def test_train_out_dir_at_or_under_a_file_is_2_before_training(self, tmp_path, cohort_dir,
+                                                                    monkeypatch, out_dir):
         monkeypatch.setattr("scharm.cli.train",
                             lambda *a, **k: pytest.fail("trained before --out-dir was checked"))
         (tmp_path / "afile").write_text("")
+        out = tmp_path / "afile" / "model" if out_dir == "under" else tmp_path / "afile"
         assert run(["train", "--manifest", str(cohort_dir / "manifest.json"), "--arch", "fae",
                     "--config", str(_tiny_fae_config(tmp_path)), "--epochs", "1",
-                    "--out-dir", str(tmp_path / "afile" / "model")]) == 2
+                    "--out-dir", str(out)]) == 2
 
     @pytest.mark.parametrize("where, key", [
         ("sidecar", "config"),
@@ -924,3 +926,111 @@ def test_a_matrix_path_that_names_no_file_exits_cleanly(json_inputs, stage, matr
     out = work / "out"
     assert run(_reading_stages(manifest, work, str(out))[stage]) == 2
     assert not out.exists()
+
+
+# -- the commit rule: a failed stage leaves every output as it was ----------------------
+
+_write_bytes = Path.write_bytes
+
+
+class _FullDisk:
+    """`Path.write_bytes`, the call every write of the package ends in, counting its
+    calls. Call number `fail_at` puts half of its bytes on disk and then raises
+    OSError, as a full disk does, so a cut single-file output shows too."""
+
+    def __init__(self):
+        self.calls, self.fail_at = 0, None
+
+    def __call__(self, path, data):
+        self.calls += 1
+        if self.calls == self.fail_at:
+            _write_bytes(path, bytes(data)[:len(data) // 2])
+            raise OSError(28, "No space left on device", str(path))
+        return _write_bytes(path, data)
+
+
+def _tree(root: Path) -> dict[str, bytes | None]:
+    """Every path under `root` with its bytes (None for a directory)."""
+    return {str(p.relative_to(root)): None if p.is_dir() else p.read_bytes()
+            for p in sorted(root.rglob("*"))}
+
+
+@pytest.fixture(scope="module")
+def small_pipeline(tmp_path_factory):
+    """A 10-subject cohort, its LR model and LR-harmonized cohort, and a tiny FAE model."""
+    work = tmp_path_factory.mktemp("small_pipeline")
+    manifest = str(work / "cohort" / "manifest.json")
+    assert _generate(work, 10, work / "cohort") == 0
+    assert run(["fit-lr", "--manifest", manifest, "--out", str(work / "lr.csv")]) == 0
+    assert run(["harmonize", "--manifest", manifest, "--method", "lr", "--model",
+                str(work / "lr.csv"), "--target-site", "3", "--out-dir", str(work / "h")]) == 0
+    assert run(["train", "--manifest", manifest, "--arch", "fae", "--config",
+                str(_tiny_fae_config(work)), "--epochs", "1", "--out-dir", str(work / "model")]) == 0
+    return work
+
+
+def _writing_stage(stage: str, work: Path, out: Path) -> list[str]:
+    """The argv of one writing stage reading `work` (see small_pipeline) and writing under `out`."""
+    manifest = str(work / "cohort" / "manifest.json")
+    return {
+        "generate": ["generate", "--nodes", "10", "--subjects", "10", "--sites-file",
+                     str(work / "sites.json"), "--effect-file", str(work / "effect.json"),
+                     "--seed", "3", "--out-dir", str(out / "cohort")],
+        "augment": ["augment", "--manifest", manifest, "--site", "0", "--count", "6",
+                    "--out-dir", str(out / "aug"), "--report"],
+        "fit-lr": ["fit-lr", "--manifest", manifest, "--out", str(out / "lr.csv")],
+        "train": ["train", "--manifest", manifest, "--arch", "fae", "--config",
+                  str(work / "tiny.json"), "--epochs", "1", "--out-dir", str(out / "model")],
+        "harmonize": ["harmonize", "--manifest", manifest, "--method", "lr", "--model",
+                      str(work / "lr.csv"), "--target-site", "3", "--out-dir", str(out / "h")],
+        "evaluate": ["evaluate", "--pred-manifest", str(work / "h" / "manifest.json"),
+                     "--target-manifest", manifest, "--out", str(out / "report.csv"), "--normalized"],
+        "metrics": ["metrics", "--manifest", manifest, "--out", str(out / "metrics.csv")],
+        "export-embeddings": ["export-embeddings", "--model", str(work / "model" / "model.bin"),
+                              "--manifest", manifest, "--out", str(out / "embeddings.csv")],
+    }[stage]
+
+
+@pytest.mark.parametrize("outputs", ["new", "existing"])
+@pytest.mark.parametrize("stage", ["generate", "augment", "fit-lr", "train", "harmonize",
+                                   "evaluate", "metrics", "export-embeddings"])
+def test_a_failed_write_leaves_every_output_as_it_was(small_pipeline, tmp_path, monkeypatch,
+                                                      stage, outputs):
+    # every k up to the stage's write count: exit 2, no exception, and the output
+    # tree unchanged byte for byte, with no staging directory left beside it
+    out = tmp_path / "out"
+    out.mkdir()
+    argv = _writing_stage(stage, small_pipeline, out)
+    disk = _FullDisk()
+    monkeypatch.setattr(Path, "write_bytes", lambda path, data: disk(path, data))
+    assert run(argv) == 0
+    writes = disk.calls
+    assert writes >= 1
+    if outputs == "new":
+        shutil.rmtree(out)
+        out.mkdir()
+    before = _tree(out)
+    for k in range(1, writes + 1):
+        disk.calls, disk.fail_at = 0, k
+        assert run(argv) == 2, f"write {k} of {writes}"
+        assert _tree(out) == before, f"write {k} of {writes} changed the outputs"
+
+
+@pytest.mark.parametrize("probe", ["generate-retest-a-file", "harmonize-matrix-a-directory",
+                                   "augment-child-a-directory"])
+def test_a_blocked_destination_moves_nothing(small_pipeline, tmp_path, probe):
+    # a file where a directory must go, or the reverse, is exit 2 before any output moves
+    out = tmp_path / "out"
+    stage, blocked = {
+        "generate-retest-a-file": ("generate", out / "cohort" / "retest"),
+        "harmonize-matrix-a-directory": ("harmonize", out / "h" / "matrices" / "sub0005_site3.csv"),
+        "augment-child-a-directory": ("augment", out / "aug" / "aug00003.csv"),
+    }[probe]
+    blocked.parent.mkdir(parents=True)
+    if stage == "generate":
+        blocked.write_text("")
+    else:
+        blocked.mkdir()
+    before = _tree(out)
+    assert run(_writing_stage(stage, small_pipeline, out)) == 2
+    assert _tree(out) == before

@@ -214,7 +214,8 @@ class TestModelPlumbing:
             model.harmonize_many([m], bad)
 
     def test_failed_save_leaves_no_stale_sidecar(self, kind, tmp_path, monkeypatch):
-        # a sidecar from an earlier save must not describe the weights of a failed one
+        # a save refused after its weights are written commits neither file:
+        # the earlier model.bin and its sidecar still load as the earlier model
         path = tmp_path / "model.bin"
         earlier = HarmonizerModel(_tiny_config(kind), seed=0)
         earlier.epoch = 7
@@ -226,8 +227,11 @@ class TestModelPlumbing:
         monkeypatch.setattr(deep, "write_text", refuse)
         with pytest.raises(IoError):
             HarmonizerModel(_tiny_config(kind), seed=5).save(path)
-        with pytest.raises(IoError):
-            HarmonizerModel.load(path)
+        loaded, _ = HarmonizerModel.load(path)
+        assert loaded.epoch == 7
+        assert {k: v.tobytes() for k, v in loaded.state_arrays().items()} == {
+            k: v.tobytes() for k, v in earlier.state_arrays().items()}
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["model.bin", "model.bin.json"]
 
     @pytest.mark.parametrize("field, value", [("seed", "x"), ("seed", -1), ("epoch", "x")])
     def test_wrong_typed_sidecar_field_is_parse_error(self, kind, tmp_path, field, value):
@@ -385,10 +389,13 @@ class TestTraining:
             train(model, cohort, TrainingConfig(epochs=2, batch_size=8))
         assert all(arr.tobytes() == before[name].tobytes() for name, arr in model.state_arrays().items())
 
-    # batch_size -1 ran no batch and recorded losses of 0.0; 0 raised a bare ValueError from range()
+    # batch_size -1 ran no batch and recorded losses of 0.0; 0 raised a bare ValueError from range(),
+    # 2.5 a bare TypeError, and epochs=True trained one epoch
     @pytest.mark.parametrize("field, value", [
         pytest.param("epochs", 0, id="0"), pytest.param("epochs", -3, id="-3"),
         pytest.param("batch_size", 0, id="batch_size=0"), pytest.param("batch_size", -1, id="batch_size=-1"),
+        pytest.param("epochs", True, id="True"), pytest.param("epochs", 1.5, id="1.5"),
+        pytest.param("batch_size", 2.5, id="batch_size=2.5"),
     ])
     def test_epochs_validated(self, field, value):
         with pytest.raises(ValidationError, match=field):
